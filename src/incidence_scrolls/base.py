@@ -131,15 +131,16 @@ def validate(b: IncidenceBase) -> ValidationReport:
     The three checks are independent; hyperplanes impose no condition and
     a pair with n_i + n_j < n - 1 forces every line into a proper subspace.
     """
-    n = b.ambient
-    hyperplanes = tuple(d for d in b.dims if d >= n - 1)
+    n, dims = b.ambient, b.dims
+    hyperplanes = tuple(d for d in dims if d >= n - 1)
     degenerate = []
-    for i in range(b.r):
-        for j in range(i + 1, b.r):
-            if b.dims[i] + b.dims[j] < n - 1:
-                pair = (b.dims[i], b.dims[j])
-                if pair not in degenerate:
-                    degenerate.append(pair)
+    # dims is sorted, so each row of pair sums is increasing
+    for i, di in enumerate(dims):
+        for dj in dims[i + 1 :]:
+            if di + dj >= n - 1:
+                break
+            if (di, dj) not in degenerate:
+                degenerate.append((di, dj))
     return ValidationReport(
         base=b,
         conditions=b.condition_count(),
@@ -165,39 +166,53 @@ def normalize(b: IncidenceBase) -> IncidenceBase:
     curve condition still satisfies it after normalization.  Pairs are
     reduced smallest dimension-sum first.
     """
-    n = b.ambient
-    dims = sorted(b.dims)
+    return IncidenceBase(*_normalize(b.ambient, b.dims))
+
+
+def _normalize(ambient: int, dims: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    n = ambient
+    out = sorted(dims)
     while True:
-        dims = [d for d in dims if d <= n - 2]
-        if len(dims) < 2 or dims[0] + dims[1] >= n - 1:
+        out = [d for d in out if d <= n - 2]
+        if len(out) < 2 or out[0] + out[1] >= n - 1:
             break
-        ni, nj = dims[0], dims[1]
+        ni, nj = out[0], out[1]
         span = ni + nj + 1
         if span < 2:
             raise UnrealizableBaseError(
-                f"{b}: the lines through two general points form no surface"
+                f"{IncidenceBase(ambient, dims)}: the lines through two general "
+                f"points form no surface"
             )
         shift = n - span
-        rest = [d - shift for d in dims[2:]]
+        rest = [d - shift for d in out[2:]]
         if any(d < 0 for d in rest):
             raise UnrealizableBaseError(
-                f"{b}: reducing pair ({ni}, {nj}) to P^{span} empties the configuration"
+                f"{IncidenceBase(ambient, dims)}: reducing pair ({ni}, {nj}) to "
+                f"P^{span} empties the configuration"
             )
-        dims = sorted([ni, nj] + rest)
+        out = sorted([ni, nj] + rest)
         n = span
-    return IncidenceBase(n, tuple(dims))
+    return n, tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _degree(n: int, codims: tuple[int, ...]) -> int:
-    return intersection_number(n, codims + (1,))
+def _degree(n: int, dims: tuple[int, ...]) -> int:
+    return intersection_number(n, tuple(n - 1 - d for d in dims) + (1,))
 
 
 def degree(b: IncidenceBase) -> int:
     """Degree of the swept scroll: the number of lines meeting every base
     space and one generic subspace of codimension 2."""
     require_valid(b)
-    return _degree(b.ambient, b.codims())
+    return _degree(b.ambient, b.dims)
+
+
+def _directrix_degree(n: int, dims: tuple[int, ...], k: int) -> int:
+    if dims[k] == 0:
+        return 0
+    codims = [n - 1 - d for i, d in enumerate(dims) if i != k]
+    codims.append(n - dims[k])
+    return intersection_number(n, codims)
 
 
 def directrix_degree(b: IncidenceBase, k: int) -> int:
@@ -210,28 +225,22 @@ def directrix_degree(b: IncidenceBase, k: int) -> int:
     require_valid(b)
     if not 0 <= k < b.r:
         raise ValueError(f"base space index {k} out of range")
-    if b.dims[k] == 0:
-        return 0
-    n = b.ambient
-    codims = [n - 1 - d for i, d in enumerate(b.dims) if i != k]
-    codims.append(n - b.dims[k])
-    return intersection_number(n, codims)
+    return _directrix_degree(b.ambient, b.dims, k)
+
+
+def _min_directrix_degree(n: int, dims: tuple[int, ...]) -> int:
+    # dims is sorted, so the first index of each distinct dimension suffices
+    return min(
+        _directrix_degree(n, dims, k)
+        for k, d in enumerate(dims)
+        if k == 0 or d != dims[k - 1]
+    )
 
 
 def min_directrix_degree(b: IncidenceBase) -> int:
     """Smallest directrix degree over the base spaces."""
     require_valid(b)
-    best = None
-    seen: set[int] = set()
-    for k, d in enumerate(b.dims):
-        if d in seen:
-            continue
-        seen.add(d)
-        dk = directrix_degree(b, k)
-        best = dk if best is None else min(best, dk)
-    if best is None:
-        raise BaseValidationError(validate(b))
-    return best
+    return _min_directrix_degree(b.ambient, b.dims)
 
 
 def formula_genus(b: IncidenceBase, deg: int | None = None) -> int:
@@ -331,13 +340,17 @@ class CoreInvariants:
 
 def core_invariants(b: IncidenceBase) -> CoreInvariants:
     require_valid(b)
-    d = degree(b)
-    min_dir = min_directrix_degree(b)
+    return _core_invariants(b.ambient, b.dims)
+
+
+def _core_invariants(n: int, dims: tuple[int, ...]) -> CoreInvariants:
+    d = _degree(n, dims)
+    min_dir = _min_directrix_degree(n, dims)
     e = d - 2 * min_dir
     m = (d + e) // 2
     # in general position the two smallest spaces are disjoint exactly when
     # their dimension sum is n - 1; nondegeneracy rules out anything smaller
-    decomposable = b.r < 2 or b.dims[0] + b.dims[1] == b.ambient - 1
+    decomposable = len(dims) < 2 or dims[0] + dims[1] == n - 1
     return CoreInvariants(d, min_dir, e, m, decomposable)
 
 

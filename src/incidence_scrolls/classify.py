@@ -208,9 +208,8 @@ class AuditReport:
         lines.append(
             f"  special scrolls (genus formula inapplicable): {len(self.speciality_exceptions)}"
         )
-        for msg in self.speciality_exceptions:
-            lines.append(f"    {msg}")
-        return "\n".join(lines) + "\n"
+        # one indenting join, rather than an indented copy of each message
+        return "\n    ".join(["\n".join(lines), *self.speciality_exceptions]) + "\n"
 
 
 def audit(max_n: int = 8) -> AuditReport:

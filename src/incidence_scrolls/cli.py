@@ -192,7 +192,10 @@ def cmd_separate(args) -> int:
 
 
 def cmd_schubert(args) -> int:
-    codims = [int(p) for p in args.codims.split(",")]
+    try:
+        codims = [int(p) for p in args.codims.split(",")]
+    except ValueError as exc:
+        raise CLIParseError(f"cannot parse codimensions {args.codims!r}: {exc}") from None
     value = intersection_number(args.n, codims)
     check = oracle_intersection_number(args.n, codims)
     if value != check:

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .base import (
-    CoreInvariants,
     IncidenceBase,
     InternalConsistencyError,
     ScrollInvariants,
+    _core_invariants,
+    _degree,
+    _normalize,
     bundle_for,
-    core_invariants,
-    degree,
-    normalize,
     require_valid,
 )
 from .schubert import intersection_number
@@ -48,27 +47,28 @@ class DegenerationSplit:
 
 
 def _split_parts(
-    b: IncidenceBase, i: int, j: int
-) -> tuple[int, IncidenceBase, IncidenceBase, int]:
-    require_valid(b)
-    if i == j or not (0 <= i < b.r and 0 <= j < b.r):
+    n: int, dims: tuple[int, ...], i: int, j: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """(m, dims of beta_dot in P^n, dims of beta_ddot in P^(n-1), kappa)."""
+    if i == j or not (0 <= i < len(dims) and 0 <= j < len(dims)):
         raise ValueError(f"need two distinct base-space indices, got ({i}, {j})")
-    n = b.ambient
-    ni, nj = b.dims[i], b.dims[j]
-    rest = tuple(d for k, d in enumerate(b.dims) if k not in (i, j))
+    ni, nj = dims[i], dims[j]
+    rest = tuple(d for k, d in enumerate(dims) if k not in (i, j))
     m = ni + nj - n + 1
     if m < 0:
-        raise InternalConsistencyError(f"{b}: join pair ({ni}, {nj}) has empty meet")
-    beta_dot = IncidenceBase(n, (m,) + rest)
-    beta_ddot = IncidenceBase(n - 1, (ni, nj) + tuple(d - 1 for d in rest))
-    for comp in (beta_dot, beta_ddot):
-        if comp.condition_count() != 2 * comp.ambient - 3:
+        raise InternalConsistencyError(
+            f"{IncidenceBase(n, dims)}: join pair ({ni}, {nj}) has empty meet"
+        )
+    dot = (m,) + rest
+    ddot = (ni, nj) + tuple(d - 1 for d in rest)
+    for ambient, comp in ((n, dot), (n - 1, ddot)):
+        if sum(ambient - 1 - d for d in comp) != 2 * ambient - 3:
             raise InternalConsistencyError(
-                f"join component {comp} violates the curve condition"
+                f"join component {IncidenceBase(ambient, comp)} violates the curve condition"
             )
     kappa_codims = (n - 2 - m,) + tuple(n - 1 - d for d in rest)
     kappa = intersection_number(n - 1, kappa_codims)
-    return m, beta_dot, beta_ddot, kappa
+    return m, dot, ddot, kappa
 
 
 def split_base(
@@ -80,7 +80,9 @@ def split_base(
     P^m that still meet every reduced space, an intersection number in
     G(1, n-1) of automatically full codimension.
     """
-    return _split_parts(b, i, j)
+    require_valid(b)
+    m, dot, ddot, kappa = _split_parts(b.ambient, b.dims, i, j)
+    return m, IncidenceBase(b.ambient, dot), IncidenceBase(b.ambient - 1, ddot), kappa
 
 
 def join(b: IncidenceBase, i: int, j: int, genus: int | None = None) -> DegenerationSplit:
@@ -92,15 +94,17 @@ def join(b: IncidenceBase, i: int, j: int, genus: int | None = None) -> Degenera
     computations, and g = g1 + g2 + kappa - 1 is checked when the caller
     supplies the genus.
     """
-    m, beta_dot, beta_ddot, kappa = _split_parts(b, i, j)
-    d = degree(b)
+    m, beta_dot, beta_ddot, kappa = split_base(b, i, j)
+    d = _degree(b.ambient, b.dims)
+    # normalization keeps the curve condition and removes hyperplanes and
+    # degenerate pairs, so both components are valid bases
     if m == 0:
         d1, g1 = 1, 0
     else:
-        comp = normalize(beta_dot)
-        d1, g1 = degree(comp), genus_by_degeneration(comp)
-    comp2 = normalize(beta_ddot)
-    d2, g2 = degree(comp2), genus_by_degeneration(comp2)
+        comp = _normalize(beta_dot.ambient, beta_dot.dims)
+        d1, g1 = _degree(*comp), _genus(*comp)
+    comp2 = _normalize(beta_ddot.ambient, beta_ddot.dims)
+    d2, g2 = _degree(*comp2), _genus(*comp2)
     if d1 + d2 != d:
         raise InternalConsistencyError(
             f"{b}: join degrees {d1} + {d2} != {d} for pair ({i}, {j})"
@@ -167,32 +171,29 @@ def genus_by_degeneration(b: IncidenceBase) -> int:
 
 @lru_cache(maxsize=None)
 def _genus(n: int, dims: tuple[int, ...]) -> int:
-    b = IncidenceBase(n, dims)
-    if degree(b) <= 2:
+    if _degree(n, dims) <= 2:
         return 0
-    m, beta_dot, beta_ddot, kappa = _split_parts(b, 0, 1)
-    if m == 0:
-        g1 = 0
-    else:
-        comp = normalize(beta_dot)
-        g1 = _genus(comp.ambient, comp.dims)
-    comp2 = normalize(beta_ddot)
-    g2 = _genus(comp2.ambient, comp2.dims)
+    m, dot, ddot, kappa = _split_parts(n, dims, 0, 1)
+    g1 = 0 if m == 0 else _genus(*_normalize(n, dot))
+    g2 = _genus(*_normalize(n - 1, ddot))
     return g1 + g2 + kappa - 1
 
 
-def speciality(b: IncidenceBase) -> int:
-    """The correction i in ambient = degree - 2 genus + 1 + i, with the genus
-    taken from the degeneration recursion; zero for nonspecial linearly
-    normal scrolls."""
-    d = degree(b)
-    g = genus_by_degeneration(b)
+def _speciality(b: IncidenceBase, d: int, g: int) -> int:
     i = b.ambient - 1 - d + 2 * g
     if i < 0:
         raise InternalConsistencyError(
             f"{b}: negative speciality {i} (degree {d}, genus {g})"
         )
     return i
+
+
+def speciality(b: IncidenceBase) -> int:
+    """The correction i in ambient = degree - 2 genus + 1 + i, with the genus
+    taken from the degeneration recursion; zero for nonspecial linearly
+    normal scrolls."""
+    require_valid(b)
+    return _speciality(b, _degree(b.ambient, b.dims), _genus(b.ambient, b.dims))
 
 
 def verified_invariants(b: IncidenceBase) -> ScrollInvariants:
@@ -202,13 +203,10 @@ def verified_invariants(b: IncidenceBase) -> ScrollInvariants:
     records exactly how far the base is from the nonspecial picture, and a
     genus <= 1 base is required to be nonspecial.
     """
-    core: CoreInvariants = core_invariants(b)
-    g = genus_by_degeneration(b)
-    i = b.ambient - 1 - core.degree + 2 * g
-    if i < 0:
-        raise InternalConsistencyError(
-            f"{b}: negative speciality {i} (degree {core.degree}, genus {g})"
-        )
+    require_valid(b)
+    core = _core_invariants(b.ambient, b.dims)
+    g = _genus(b.ambient, b.dims)
+    i = _speciality(b, core.degree, g)
     if g <= 1 and i != 0:
         raise InternalConsistencyError(
             f"{b}: genus {g} scroll reported special (i = {i})"

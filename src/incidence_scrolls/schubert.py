@@ -7,6 +7,15 @@ subspace of codimension c + 1.  Products of special classes are expanded
 with the Pieri rule, and every top-degree evaluation can be cross-checked
 against an independent bialternant computation in Z[x, y].
 
+The Pieri kernel keeps a class of pure codimension t as a flat list of
+integers, vec[b] being the coefficient of sigma_(t-b, b) for
+0 <= b <= t // 2.  Multiplying by sigma_c sends each vec[b] to one
+contiguous range of new indices, so every new coefficient is a difference
+of two prefix sums and a factor costs O(n).  The SchubertClass / CycleSum
+types are a thin public view over the same step.  The modules above this
+one validate a base once, at their public functions; their _-prefixed
+helpers take trusted (n, dims) tuples.
+
 All arithmetic is exact (Python integers); intersection numbers grow like
 Catalan numbers, so fixed-width arithmetic would overflow silently.
 """
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 
@@ -80,6 +90,26 @@ class CycleSum:
         return not self.terms
 
 
+def _pieri_step(vec: list, t: int, n: int, c: int) -> list:
+    """Multiply the codimension-t class vec by sigma_c inside G(1, n).
+
+    sigma_(t-b, b) spreads over the horizontal-strip extensions
+    sigma_(t+c-b2, b2) with b <= b2 <= min(t - b, b + c), provided the first
+    row t+c-b2 stays <= n - 1, that is b2 >= t + c - (n-1).  Read the other
+    way, the new coefficient at b2 is the sum of vec over the window
+    max(0, b2 - c) <= b <= min(b2, t - b2), one difference of prefix sums.
+    """
+    t2 = t + c
+    prefix = [0, *accumulate(vec)]
+    first = t2 - (n - 1) if t2 > n - 1 else 0
+    out = [0] * first
+    for b2 in range(first, t2 // 2 + 1):
+        hi = b2 if b2 < t - b2 else t - b2
+        lo = b2 - c if b2 > c else 0
+        out.append(prefix[hi + 1] - prefix[lo] if hi >= lo else 0)
+    return out
+
+
 def pieri_multiply(s: CycleSum, c: int) -> CycleSum:
     """Multiply by the special class sigma_c.
 
@@ -89,14 +119,13 @@ def pieri_multiply(s: CycleSum, c: int) -> CycleSum:
     """
     if not 0 <= c <= s.n - 1:
         raise ValueError(f"special class index {c} outside [0, {s.n - 1}]")
-    out: dict[SchubertClass, int] = {}
-    for cls, coeff in s.terms.items():
-        a, b = cls.a, cls.b
-        for a2 in range(max(a, b + c), min(s.n - 1, a + c) + 1):
-            b2 = a + b + c - a2
-            key = SchubertClass(a2, b2)
-            out[key] = out.get(key, 0) + coeff
-    return CycleSum(s.n, out)
+    t = s.codim or 0
+    vec = [s.coefficient(t - b, b) for b in range(t // 2 + 1)]
+    out = _pieri_step(vec, t, s.n, c)
+    t2 = t + c
+    return CycleSum(
+        s.n, {SchubertClass(t2 - b, b): coeff for b, coeff in enumerate(out) if coeff}
+    )
 
 
 def _check_codims(n: int, codims: Sequence[int]) -> None:
@@ -124,14 +153,15 @@ def intersection_number(n: int, codims: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def _intersection_number(n: int, codims: tuple[int, ...]) -> int:
     _check_codims(n, codims)
-    s = CycleSum.unit(n)
+    # _check_codims fixes the final codimension at 2n - 2, so vec ends with
+    # exactly n entries; the last one, the point class, is never zero since
+    # the shape (n-1, n-1) dominates every content whose parts fit the box
+    vec, t = [1], 0
     for c in codims:
-        if c == 0:
-            continue
-        s = pieri_multiply(s, c)
-        if s.is_zero():
-            return 0
-    return s.coefficient(n - 1, n - 1)
+        if c:
+            vec = _pieri_step(vec, t, n, c)
+            t += c
+    return vec[n - 1]
 
 
 def _convolve(p: list, q: list) -> list:

@@ -136,6 +136,16 @@ def test_audit_reports_special_scrolls_honestly():
     assert report.speciality_exceptions[1].startswith("5:3,3,3,3,3,3,3")
 
 
+def test_audit_render_lists_special_scrolls_one_per_line():
+    report = audit(5)
+    assert report.render().split("\n")[-4:] == [
+        "  special scrolls (genus formula inapplicable): 2",
+        *("    " + msg for msg in report.speciality_exceptions),
+        "",
+    ]
+    assert audit(4).render().endswith("violations: 0\n  special scrolls (genus formula inapplicable): 0\n")
+
+
 def test_theorem_predicted_base_appears():
     # the (g, e, m) = (0, 1, 3) scroll must be enumerated with its base
     bases = {b.dims: inv for b, inv in enumerate_bases(6)}

@@ -112,6 +112,7 @@ def test_audit_command(capsys):
 
 def test_parse_error_exit_code(capsys):
     assert main(["degree", "bogus"]) == 2
+    assert main(["schubert", "-n", "4", "-c", "1,x"]) == 2
     assert main(["no-such-command"]) == 2
 
 

@@ -1,12 +1,13 @@
 """Property-based checks of the exact arithmetic."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incidence_scrolls.base import IncidenceBase, normalize, validate
 from incidence_scrolls.schubert import (
     CycleSum,
     SchubertClass,
     intersection_number,
+    _pieri_step,
     oracle_intersection_number,
     pieri_multiply,
 )
@@ -58,6 +59,86 @@ def test_pieri_effective_and_pure(data):
     assert all(term.codim == cls.codim + c for term in out.terms)
     # total multiplicity of a strip extension never exceeds the strip length
     assert sum(out.terms.values()) <= c + 1
+
+
+@st.composite
+def codims_with_zeros(draw):
+    """Codimensions summing to 2n - 2 with n up to 40, sometimes led by the
+    point condition c = n - 1 and padded with identity factors c = 0."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    parts = [n - 1] if draw(st.booleans()) else []
+    total = 2 * n - 2 - sum(parts)
+    while total > 0:
+        c = draw(st.integers(min_value=1, max_value=min(n - 1, total)))
+        parts.append(c)
+        total -= c
+    parts += [0] * draw(st.integers(min_value=0, max_value=3))
+    return n, draw(st.permutations(parts))
+
+
+@given(codims_with_zeros())
+@example((2, [0, 1, 0, 1]))
+@example((40, [39, 0, 39]))
+@settings(max_examples=200, deadline=None)
+def test_flat_kernel_equals_bialternant_up_to_40(data):
+    # top-degree products of special classes never vanish; vanishing
+    # products only arise from general classes, see the pieri_multiply test
+    n, codims = data
+    value = intersection_number(n, codims)
+    assert value == oracle_intersection_number(n, codims)
+    assert value > 0
+
+
+def term_by_term_pieri(s: CycleSum, c: int) -> dict:
+    """Reference Pieri product, expanded one horizontal strip at a time."""
+    out: dict = {}
+    for cls, coeff in s.terms.items():
+        a, b = cls.a, cls.b
+        for a2 in range(max(a, b + c), min(s.n - 1, a + c) + 1):
+            key = SchubertClass(a2, a + b + c - a2)
+            out[key] = out.get(key, 0) + coeff
+    return out
+
+
+@given(st.integers(min_value=2, max_value=40).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(min_value=0, max_value=n - 1), max_size=8)
+    )
+))
+@example((3, [2, 2, 1]))  # passes dim G(1, 3) = 4: the product is zero
+@example((5, [4, 0, 4, 4]))
+@settings(max_examples=200, deadline=None)
+def test_flat_state_matches_term_by_term_products(data):
+    # a product of special classes vanishes exactly when its codimension
+    # exceeds dim G(1, n) = 2n - 2
+    n, codims = data
+    vec, t, s = [1], 0, CycleSum.unit(n)
+    for c in codims:
+        vec, t = _pieri_step(vec, t, n, c), t + c
+        s = CycleSum(n, term_by_term_pieri(s, c))
+        assert {SchubertClass(t - b, b): v for b, v in enumerate(vec) if v} == s.terms
+        assert any(vec) == (t <= 2 * n - 2)
+
+
+@st.composite
+def effective_cycle_sum(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    t = draw(st.integers(min_value=0, max_value=2 * n - 2))
+    shapes = [(t - b, b) for b in range(t // 2 + 1) if t - b <= n - 1]
+    chosen = draw(st.lists(st.sampled_from(shapes), unique=True, max_size=len(shapes)))
+    coeffs = st.integers(min_value=1, max_value=10**30)
+    terms = {SchubertClass(a, b): draw(coeffs) for a, b in chosen}
+    c = draw(st.integers(min_value=0, max_value=n - 1))
+    return CycleSum(n, terms), c
+
+
+@given(effective_cycle_sum())
+@example((CycleSum(3, {SchubertClass(1, 1): 1}), 2))  # no strip fits: zero
+@example((CycleSum(4, {SchubertClass(3, 3): 7}), 1))  # past the point class
+@settings(max_examples=200, deadline=None)
+def test_pieri_multiply_matches_term_by_term(data):
+    s, c = data
+    assert pieri_multiply(s, c).terms == term_by_term_pieri(s, c)
 
 
 @st.composite
