@@ -18,7 +18,6 @@ from .base import (
     degree,
     directrix_degree,
     formula_genus,
-    invariants,
     min_directrix_degree,
     normalize,
     validate,
@@ -55,9 +54,7 @@ from .ruled import (
 from .schubert import (
     CycleSum,
     DimensionMismatchError,
-    GrassmannContext,
     SchubertClass,
-    expected_dimension,
     intersection_number,
     oracle_intersection_number,
     pieri_multiply,

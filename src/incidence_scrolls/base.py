@@ -292,6 +292,18 @@ class BundleDescriptor:
         return f"O_C + O_C(e), deg e = -{self.e}"
 
 
+def _bundle_dict(bundle: BundleDescriptor | None) -> dict | None:
+    """The JSON object of a bundle, shared by table rows and CLI records."""
+    if bundle is None:
+        return None
+    return {
+        "kind": bundle.kind,
+        "base_genus": bundle.base_genus,
+        "e": bundle.e,
+        "e_trivial": bundle.e_divisor_trivial,
+    }
+
+
 @dataclass(frozen=True)
 class ScrollInvariants:
     """Numerical data of the scroll swept by a base.
@@ -327,23 +339,9 @@ class ScrollInvariants:
             )
 
 
-@dataclass(frozen=True)
-class CoreInvariants:
-    """Genus-independent part of the invariants (pure Schubert data)."""
-
-    degree: int
-    min_directrix_degree: int
-    e: int
-    divisor_degree: int
-    decomposable: bool
-
-
-def core_invariants(b: IncidenceBase) -> CoreInvariants:
-    require_valid(b)
-    return _core_invariants(b.ambient, b.dims)
-
-
-def _core_invariants(n: int, dims: tuple[int, ...]) -> CoreInvariants:
+def _core_invariants(n: int, dims: tuple[int, ...]) -> tuple[int, int, int, int, bool]:
+    """(degree, min directrix degree, e, deg(b), decomposable): the
+    genus-independent Schubert data of a trusted base."""
     d = _degree(n, dims)
     min_dir = _min_directrix_degree(n, dims)
     e = d - 2 * min_dir
@@ -351,54 +349,37 @@ def _core_invariants(n: int, dims: tuple[int, ...]) -> CoreInvariants:
     # in general position the two smallest spaces are disjoint exactly when
     # their dimension sum is n - 1; nondegeneracy rules out anything smaller
     decomposable = len(dims) < 2 or dims[0] + dims[1] == n - 1
-    return CoreInvariants(d, min_dir, e, m, decomposable)
+    return d, min_dir, e, m, decomposable
 
 
-def e_divisor_trivial(b: IncidenceBase, genus: int, core: CoreInvariants) -> bool:
+# the unique base whose elliptic e = 0 scroll has a trivial normalizing divisor
+_TRIVIAL_DIVISOR_BASE = IncidenceBase(7, (3, 3, 3, 5, 5))
+
+
+def e_divisor_trivial(b: IncidenceBase, genus: int, e: int, decomposable: bool) -> bool:
     """Whether the degree-zero normalizing divisor is linearly trivial.
 
     Decidable without coordinates only for genus 1, e = 0 bases, where the
     trivial-divisor scroll has the unique base {3 P^3, 2 P^5} in P^7.
     """
-    if genus != 1 or core.e != 0 or not core.decomposable:
+    if genus != 1 or e != 0 or not decomposable:
         return False
-    return b.ambient == 7 and b.dims == (3, 3, 3, 5, 5)
+    return b == _TRIVIAL_DIVISOR_BASE
 
 
-def bundle_for(b: IncidenceBase, genus: int, core: CoreInvariants) -> BundleDescriptor | None:
+def bundle_for(
+    b: IncidenceBase, genus: int, e: int, decomposable: bool
+) -> BundleDescriptor | None:
     if genus > 1:
         return None
-    if genus == 0 and not core.decomposable:
+    if genus == 0 and not decomposable:
         raise InternalConsistencyError(
             f"{b}: rational scroll classified as indecomposable"
         )
-    kind = "decomposable" if core.decomposable else "indecomposable"
+    kind = "decomposable" if decomposable else "indecomposable"
     return BundleDescriptor(
         kind=kind,
         base_genus=genus,
-        e=core.e,
-        e_divisor_trivial=e_divisor_trivial(b, genus, core),
-    )
-
-
-def invariants(b: IncidenceBase) -> ScrollInvariants:
-    """Scroll invariants under the nonspecial assumption.
-
-    The genus comes from the ambient-dimension formula; a base whose scroll
-    is special is rejected with SpecialityError rather than being reported
-    with a wrong genus.  For a genus computed independently of this
-    assumption see the degeneration module.
-    """
-    core = core_invariants(b)
-    g = formula_genus(b, deg=core.degree)
-    return ScrollInvariants(
-        degree=core.degree,
-        genus=g,
-        ambient=b.ambient,
-        e=core.e,
-        divisor_degree=core.divisor_degree,
-        min_directrix_degree=core.min_directrix_degree,
-        decomposable=core.decomposable,
-        speciality=0,
-        bundle=bundle_for(b, g, core),
+        e=e,
+        e_divisor_trivial=e_divisor_trivial(b, genus, e, decomposable),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .base import IncidenceBase, ScrollInvariants
+from .base import IncidenceBase, ScrollInvariants, _bundle_dict
 from .degeneration import verified_invariants
 from .ruled import (
     incidence_clause,
@@ -139,7 +139,6 @@ def render_table(rows: list[TableRow], genus: int, max_n: int) -> str:
 
 def row_to_dict(row: TableRow) -> dict:
     inv = row.invariants
-    bundle = inv.bundle
     return {
         "ambient": inv.ambient,
         "dims": list(row.base.dims),
@@ -152,14 +151,7 @@ def row_to_dict(row: TableRow) -> dict:
             "ambient": row.min_directrix_span,
             "count": "inf^1" if row.min_directrix_count is None else row.min_directrix_count,
         },
-        "bundle": None
-        if bundle is None
-        else {
-            "kind": bundle.kind,
-            "base_genus": bundle.base_genus,
-            "e": bundle.e,
-            "e_trivial": bundle.e_divisor_trivial,
-        },
+        "bundle": _bundle_dict(inv.bundle),
     }
 
 

@@ -19,15 +19,18 @@ from .base import (
     BaseValidationError,
     IncidenceBase,
     InternalConsistencyError,
+    ScrollInvariants,
     SpecialityError,
     UnrealizableBaseError,
+    _bundle_dict,
     degree,
     formula_genus,
     normalize,
     validate,
 )
-from .classify import audit, build_tables, render_table, row_to_dict
+from .classify import audit, build_tables, enumerate_bases, render_table, row_to_dict
 from .degeneration import (
+    _speciality,
     genus_by_degeneration,
     join,
     separate,
@@ -66,17 +69,19 @@ def parse_base(text: str) -> IncidenceBase:
 def _iter_bases(arg: str):
     if arg.startswith("@"):
         with open(arg[1:], "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if line:
-                    yield parse_base(line)
+                    try:
+                        b = parse_base(line)
+                    except CLIParseError as exc:
+                        raise CLIParseError(f"{arg[1:]}:{lineno}: {exc}") from None
+                    yield b
     else:
         yield parse_base(arg)
 
 
-def _invariants_dict(b: IncidenceBase) -> dict:
-    inv = verified_invariants(b)
-    bundle = inv.bundle
+def _invariants_dict(b: IncidenceBase, inv: ScrollInvariants) -> dict:
     return {
         "base": str(b),
         "ambient": inv.ambient,
@@ -88,14 +93,7 @@ def _invariants_dict(b: IncidenceBase) -> dict:
         "min_directrix_degree": inv.min_directrix_degree,
         "decomposable": inv.decomposable,
         "speciality": inv.speciality,
-        "bundle": None
-        if bundle is None
-        else {
-            "kind": bundle.kind,
-            "base_genus": bundle.base_genus,
-            "e": bundle.e,
-            "e_trivial": bundle.e_divisor_trivial,
-        },
+        "bundle": _bundle_dict(inv.bundle),
     }
 
 
@@ -126,20 +124,18 @@ def cmd_genus(args) -> int:
         g = genus_by_degeneration(b)
         d = degree(b)
         try:
-            gf = formula_genus(b, deg=d)
-            formula = str(gf)
+            formula = str(formula_genus(b, deg=d))
         except SpecialityError:
-            gf = None
             formula = "inapplicable (degree + 1 - n is odd)"
         print(f"{b}  genus by degeneration = {g}, by formula = {formula}")
-        if gf is not None and gf != g:
-            i = b.ambient - 1 - d + 2 * g
+        i = _speciality(b, d, g)
+        if i:
             print(f"  scroll is special: speciality i = {i}")
     return 0
 
 
 def cmd_invariants(args) -> int:
-    records = [_invariants_dict(b) for b in _iter_bases(args.base)]
+    records = [_invariants_dict(b, verified_invariants(b)) for b in _iter_bases(args.base)]
     if args.json:
         print(json.dumps(records if args.base.startswith("@") else records[0], indent=2))
         return 0
@@ -236,11 +232,7 @@ def cmd_surface(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .classify import enumerate_bases
-
-    records = []
-    for b, inv in enumerate_bases(args.n):
-        records.append(_invariants_dict(b))
+    records = [_invariants_dict(b, inv) for b, inv in enumerate_bases(args.n)]
     if args.json:
         print(json.dumps(records, indent=2))
         return 0

@@ -199,26 +199,27 @@ def speciality(b: IncidenceBase) -> int:
 def verified_invariants(b: IncidenceBase) -> ScrollInvariants:
     """Scroll invariants with the genus from the degeneration recursion.
 
-    Unlike the formula-based route this never guesses: the speciality field
-    records exactly how far the base is from the nonspecial picture, and a
-    genus <= 1 base is required to be nonspecial.
+    This is the only route to ScrollInvariants, and it never assumes the
+    nonspecial genus formula: the speciality field records exactly how far
+    the base is from the nonspecial picture, and a genus <= 1 base is
+    required to be nonspecial.
     """
     require_valid(b)
-    core = _core_invariants(b.ambient, b.dims)
+    d, min_dir, e, m, decomposable = _core_invariants(b.ambient, b.dims)
     g = _genus(b.ambient, b.dims)
-    i = _speciality(b, core.degree, g)
+    i = _speciality(b, d, g)
     if g <= 1 and i != 0:
         raise InternalConsistencyError(
             f"{b}: genus {g} scroll reported special (i = {i})"
         )
     return ScrollInvariants(
-        degree=core.degree,
+        degree=d,
         genus=g,
         ambient=b.ambient,
-        e=core.e,
-        divisor_degree=core.divisor_degree,
-        min_directrix_degree=core.min_directrix_degree,
-        decomposable=core.decomposable,
+        e=e,
+        divisor_degree=m,
+        min_directrix_degree=min_dir,
+        decomposable=decomposable,
         speciality=i,
-        bundle=bundle_for(b, g, core) if g <= 1 else None,
+        bundle=bundle_for(b, g, e, decomposable),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .base import (
-    BundleDescriptor,
+    _TRIVIAL_DIVISOR_BASE,
     IncidenceBase,
     InternalConsistencyError,
     ScrollInvariants,
@@ -196,7 +196,7 @@ def predicted_base(model: RuledSurfaceModel) -> IncidenceBase:
     elif not model.decomposable:
         raw = IncidenceBase(4, (2, 2, 2, 2, 2))
     elif model.is_e_trivial:
-        raw = IncidenceBase(7, (3, 3, 3, 5, 5))
+        raw = _TRIVIAL_DIVISOR_BASE
     else:
         dims = (2,) + (e + 2,) * (e + 1) + (e + 3,) * (3 - e)
         raw = IncidenceBase(2 * m - e - 1, dims)
@@ -238,12 +238,3 @@ def min_directrix_count(model: RuledSurfaceModel) -> int | None:
     if model.e == 0:
         return None if model.is_e_trivial else 2
     return 1
-
-
-def bundle_from_model(model: RuledSurfaceModel) -> BundleDescriptor:
-    return BundleDescriptor(
-        kind="decomposable" if model.decomposable else "indecomposable",
-        base_genus=model.genus,
-        e=model.e,
-        e_divisor_trivial=model.is_e_trivial if model.genus == 1 else False,
-    )

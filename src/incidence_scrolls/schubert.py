@@ -187,29 +187,3 @@ def oracle_intersection_number(n: int, codims: Sequence[int]) -> int:
     for c in codims:
         poly = _convolve(poly, [1] * (c + 1))
     return poly[n - 1] - poly[n]
-
-
-@dataclass(frozen=True)
-class GrassmannContext:
-    """The Grassmannian G(l, n) of l-planes in P^n."""
-
-    l: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.l < self.n:
-            raise ValueError(f"need 0 <= l < n, got G({self.l}, {self.n})")
-
-    @property
-    def dimension(self) -> int:
-        return (self.l + 1) * (self.n - self.l)
-
-
-def expected_dimension(ctx: GrassmannContext, dims: Sequence[int]) -> int:
-    """Dimension of the locus of l-planes meeting general subspaces of the
-    given dimensions; negative values mean the locus is empty in general
-    position."""
-    for d in dims:
-        if not 0 <= d <= ctx.n - 1:
-            raise ValueError(f"subspace dimension {d} outside [0, {ctx.n - 1}]")
-    return ctx.dimension - sum(ctx.n - d - 1 for d in dims)

@@ -10,11 +10,11 @@ from incidence_scrolls.base import (
     degree,
     directrix_degree,
     formula_genus,
-    invariants,
     min_directrix_degree,
     normalize,
     validate,
 )
+from incidence_scrolls.degeneration import verified_invariants
 
 
 def B(n, *dims):
@@ -141,7 +141,7 @@ def test_degree_overcounts_one_for_meeting_pair():
 
 
 def test_invariants_elliptic_septic():
-    inv = invariants(B(6, 2, 3, 3, 4, 4))
+    inv = verified_invariants(B(6, 2, 3, 3, 4, 4))
     assert (inv.degree, inv.genus, inv.e, inv.divisor_degree) == (7, 1, 1, 4)
     assert inv.min_directrix_degree == 3
     assert inv.decomposable
@@ -149,22 +149,22 @@ def test_invariants_elliptic_septic():
 
 
 def test_invariants_elliptic_quintic():
-    inv = invariants(B(4, 2, 2, 2, 2, 2))
+    inv = verified_invariants(B(4, 2, 2, 2, 2, 2))
     assert (inv.degree, inv.genus, inv.e, inv.divisor_degree) == (5, 1, -1, 2)
     assert not inv.decomposable
     assert inv.bundle.kind == "indecomposable"
 
 
 def test_invariants_genus_two():
-    inv = invariants(B(7, 3, 3, 4, 4, 5))
+    inv = verified_invariants(B(7, 3, 3, 4, 4, 5))
     assert (inv.degree, inv.genus) == (10, 2)
     assert inv.bundle is None
 
 
 def test_invariants_trivial_divisor_detection():
-    inv = invariants(B(7, 3, 3, 3, 5, 5))
+    inv = verified_invariants(B(7, 3, 3, 3, 5, 5))
     assert inv.bundle.e_divisor_trivial
-    other = invariants(B(5, 2, 2, 3, 3, 3))
+    other = verified_invariants(B(5, 2, 2, 3, 3, 3))
     assert other.e == 0 and not other.bundle.e_divisor_trivial
 
 
@@ -173,8 +173,6 @@ def test_special_base_is_rejected_by_formula_route():
     assert degree(b) == 9  # degree + 1 - n is odd: no nonspecial genus exists
     with pytest.raises(SpecialityError):
         formula_genus(b)
-    with pytest.raises(SpecialityError):
-        invariants(b)
 
 
 def test_plane_base_edge_case():

@@ -11,7 +11,6 @@ from incidence_scrolls import base, classify, degeneration, ruled, schubert
 from incidence_scrolls.base import (
     BaseValidationError,
     IncidenceBase,
-    core_invariants,
     degree,
     directrix_degree,
     min_directrix_degree,
@@ -35,7 +34,6 @@ ENTRY_POINTS = {
     "degree": degree,
     "directrix_degree": lambda b: directrix_degree(b, 0),
     "min_directrix_degree": min_directrix_degree,
-    "core_invariants": core_invariants,
     "genus_by_degeneration": genus_by_degeneration,
     "join": lambda b: join(b, 0, 1),
     "split_base": lambda b: split_base(b, 0, 1),

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from incidence_scrolls import classify, cli
 from incidence_scrolls.cli import main, parse_base, CLIParseError
 from incidence_scrolls.base import IncidenceBase
 
@@ -39,6 +40,7 @@ def test_degree_and_genus(capsys):
     assert main(["genus", "4:2,2,2,2,2"]) == 0
     out = capsys.readouterr().out
     assert "by degeneration = 1" in out and "by formula = 1" in out
+    assert "special" not in out
 
 
 def test_genus_on_special_base(capsys):
@@ -46,6 +48,7 @@ def test_genus_on_special_base(capsys):
     out = capsys.readouterr().out
     assert "by degeneration = 3" in out
     assert "inapplicable" in out
+    assert "scroll is special: speciality i = 1" in out
 
 
 def test_invariants_json(capsys):
@@ -90,6 +93,25 @@ def test_enumerate_command(capsys):
     assert "4:1,2,2,2" in out and "4:2,2,2,2,2" in out
 
 
+def test_enumerate_json_golden(capsys):
+    assert main(["enumerate", "-n", "6", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "enumerate_6.json").read_text()
+
+
+def test_enumerate_measures_each_base_once(monkeypatch, capsys):
+    calls = []
+    real = classify.verified_invariants
+
+    def counting(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(classify, "verified_invariants", counting)
+    monkeypatch.setattr(cli, "verified_invariants", counting)
+    assert main(["enumerate", "-n", "6"]) == 0
+    assert calls == classify.base_candidates(6)
+
+
 def test_table_golden_via_cli(tmp_path, capsys):
     out_file = tmp_path / "t1.txt"
     assert main(["table", "--genus", "0", "--max-n", "8", "--out", str(out_file)]) == 0
@@ -127,3 +149,12 @@ def test_base_list_file(tmp_path, capsys):
     assert main(["degree", f"@{listing}"]) == 0
     out = capsys.readouterr().out
     assert "degree = 2" in out and "degree = 3" in out
+
+
+def test_base_list_parse_error_names_the_line(tmp_path, capsys):
+    listing = tmp_path / "bases.txt"
+    listing.write_text("4:2,2,2,2,2\n4:2,x\n")
+    assert main(["degree", f"@{listing}"]) == 2
+    captured = capsys.readouterr()
+    assert "degree = 5" in captured.out
+    assert captured.err.startswith(f"error: {listing}:2: cannot parse base '4:2,x'")

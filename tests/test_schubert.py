@@ -5,9 +5,7 @@ import pytest
 from incidence_scrolls.schubert import (
     CycleSum,
     DimensionMismatchError,
-    GrassmannContext,
     SchubertClass,
-    expected_dimension,
     intersection_number,
     oracle_intersection_number,
     pieri_multiply,
@@ -126,22 +124,3 @@ def test_point_condition_duality():
 
 def test_zero_codimension_factors_are_identity():
     assert intersection_number(3, [1, 1, 1, 1, 0, 0]) == 2
-
-
-@pytest.mark.parametrize(
-    "l,n,dims,expected",
-    [
-        (1, 4, [2, 2, 2, 2, 2], 1),
-        (1, 3, [1, 1, 1], 1),
-        (2, 4, [], 6),
-    ],
-)
-def test_expected_dimension(l, n, dims, expected):
-    assert expected_dimension(GrassmannContext(l, n), dims) == expected
-
-
-def test_expected_dimension_rejects_bad_input():
-    with pytest.raises(ValueError):
-        GrassmannContext(4, 4)
-    with pytest.raises(ValueError):
-        expected_dimension(GrassmannContext(1, 4), [4])
