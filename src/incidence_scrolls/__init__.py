@@ -52,12 +52,9 @@ from .ruled import (
     very_ample,
 )
 from .schubert import (
-    CycleSum,
     DimensionMismatchError,
-    SchubertClass,
     intersection_number,
     oracle_intersection_number,
-    pieri_multiply,
 )
 
 __version__ = "0.1.0"

@@ -323,21 +323,6 @@ class ScrollInvariants:
     speciality: int
     bundle: BundleDescriptor | None
 
-    def __post_init__(self) -> None:
-        if self.degree != 2 * self.divisor_degree - self.e:
-            raise InternalConsistencyError(
-                f"degree {self.degree} != 2*{self.divisor_degree} - {self.e}"
-            )
-        if self.e != self.degree - 2 * self.min_directrix_degree:
-            raise InternalConsistencyError(
-                f"e {self.e} != {self.degree} - 2*{self.min_directrix_degree}"
-            )
-        if self.ambient != self.degree - 2 * self.genus + 1 + self.speciality:
-            raise InternalConsistencyError(
-                f"ambient {self.ambient} != {self.degree} - 2*{self.genus} + 1 "
-                f"+ {self.speciality}"
-            )
-
 
 def _core_invariants(n: int, dims: tuple[int, ...]) -> tuple[int, int, int, int, bool]:
     """(degree, min directrix degree, e, deg(b), decomposable): the

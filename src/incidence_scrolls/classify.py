@@ -160,10 +160,11 @@ class AuditReport:
     """Replay of the classification against the full enumeration.
 
     The violation lists cover the classified range (genus <= 1): theorem
-    clause membership, predicted bases, uniqueness of (d, g, n, e), and the
-    nonexistence of indecomposable e = 0 elliptic bases.  Bases whose
-    scrolls fail the nonspecial genus formula are listed separately; they
-    are a property of the geometry, not a classification violation.
+    clause membership, predicted bases, uniqueness of (d, g, n, e), no
+    indecomposable e = 0 elliptic base, and the oracle's recount of the
+    minimum directrix degree.  Bases whose scrolls fail the nonspecial genus
+    formula are listed separately; they are a property of the geometry, not
+    a classification violation.
     """
 
     max_n: int
@@ -175,6 +176,7 @@ class AuditReport:
     uniqueness_collisions: list = field(default_factory=list)
     indecomposable_e0: list = field(default_factory=list)
     oracle_mismatches: list = field(default_factory=list)
+    directrix_oracle_mismatches: list = field(default_factory=list)
     speciality_exceptions: list = field(default_factory=list)
 
     @property
@@ -185,6 +187,7 @@ class AuditReport:
             + self.uniqueness_collisions
             + self.indecomposable_e0
             + self.oracle_mismatches
+            + self.directrix_oracle_mismatches
         )
 
     def render(self) -> str:
@@ -200,19 +203,25 @@ class AuditReport:
         lines.append(
             f"  special scrolls (genus formula inapplicable): {len(self.speciality_exceptions)}"
         )
-        # one indenting join, rather than an indented copy of each message
-        return "\n    ".join(["\n".join(lines), *self.speciality_exceptions]) + "\n"
+        # the trailing newline rides on the last part so that the text is
+        # allocated once: a second full-size copy made the render time jumpy
+        parts = ["\n".join(lines), *self.speciality_exceptions]
+        parts[-1] += "\n"
+        return "\n    ".join(parts)
 
 
 def audit(max_n: int = 8) -> AuditReport:
     """Check every enumerated base with genus <= 1 against the classification
     and cross-validate degrees and genus formulas for all of them."""
+    if max_n < 3:
+        raise ValueError("need max_n >= 3")
     report = AuditReport(max_n=max_n)
     seen_keys: dict[tuple[int, int, int, int], IncidenceBase] = {}
     for n in range(3, max_n + 1):
         for b, inv in enumerate_bases(n):
             report.bases_checked += 1
-            deg_codims = b.codims() + (1,)
+            codims = b.codims()
+            deg_codims = codims + (1,)
             if intersection_number(n, deg_codims) != oracle_intersection_number(n, deg_codims):
                 report.oracle_mismatches.append(f"{b}: Pieri and bialternant degrees differ")
             if inv.speciality != 0:
@@ -226,6 +235,17 @@ def audit(max_n: int = 8) -> AuditReport:
                 report.rational_rows += 1
             else:
                 report.elliptic_rows += 1
+            # the oracle recounts each directrix; a point base space traces none
+            oracle_min_dir = min(
+                oracle_intersection_number(n, codims[:k] + (c + 1,) + codims[k + 1 :])
+                if c < n - 1 else 0
+                for k, c in enumerate(codims)
+            )
+            if inv.min_directrix_degree != oracle_min_dir:
+                report.directrix_oracle_mismatches.append(
+                    f"{b}: minimum directrix degree {inv.min_directrix_degree}, "
+                    f"bialternant gives {oracle_min_dir}"
+                )
             model = model_from_invariants(inv)
             if inv.genus == 1 and not inv.decomposable and inv.e == 0:
                 report.indecomposable_e0.append(f"{b}: indecomposable elliptic with e = 0")

@@ -135,24 +135,30 @@ def cmd_genus(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    records = [_invariants_dict(b, verified_invariants(b)) for b in _iter_bases(args.base)]
+    records = []
+    try:
+        for b in _iter_bases(args.base):
+            rec = _invariants_dict(b, verified_invariants(b))
+            if args.json:
+                records.append(rec)
+                continue
+            bundle = rec["bundle"]
+            print(
+                f"{rec['base']}  R^{rec['degree']}_{rec['genus']} in P^{rec['ambient']}\n"
+                f"  e = {rec['e']}, deg(b) = {rec['m']}, "
+                f"min directrix degree = {rec['min_directrix_degree']}\n"
+                f"  decomposable = {str(rec['decomposable']).lower()}, "
+                f"speciality = {rec['speciality']}"
+            )
+            if bundle is not None:
+                flag = ", e-divisor trivial" if bundle["e_trivial"] else ""
+                print(f"  bundle: {bundle['kind']}, e = {bundle['e']}{flag}")
+    except Exception:
+        if records:  # the records of a batch that come before its bad line
+            print(json.dumps(records, indent=2))
+        raise
     if args.json:
         print(json.dumps(records if args.base.startswith("@") else records[0], indent=2))
-        return 0
-    for rec in records:
-        bundle = rec["bundle"]
-        print(f"{rec['base']}  R^{rec['degree']}_{rec['genus']} in P^{rec['ambient']}")
-        print(
-            f"  e = {rec['e']}, deg(b) = {rec['m']}, min directrix degree = "
-            f"{rec['min_directrix_degree']}"
-        )
-        print(
-            f"  decomposable = {str(rec['decomposable']).lower()}, "
-            f"speciality = {rec['speciality']}"
-        )
-        if bundle is not None:
-            flag = ", e-divisor trivial" if bundle["e_trivial"] else ""
-            print(f"  bundle: {bundle['kind']}, e = {bundle['e']}{flag}")
     return 0
 
 

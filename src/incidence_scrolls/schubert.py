@@ -3,18 +3,19 @@
 Cohomology classes of the Grassmannian of lines G(1, n) are integer
 combinations of two-row classes sigma_(a, b) with n-1 >= a >= b >= 0; the
 special class sigma_c = sigma_(c, 0) collects the lines meeting a fixed
-subspace of codimension c + 1.  Products of special classes are expanded
-with the Pieri rule, and every top-degree evaluation can be cross-checked
-against an independent bialternant computation in Z[x, y].
+subspace of codimension c + 1.  The module has one kernel and one check:
+intersection_number expands products of special classes with the Pieri
+rule, and oracle_intersection_number evaluates the same top-degree product
+by an independent bialternant computation in Z[x, y] that shares no code
+with it.
 
-The Pieri kernel keeps a class of pure codimension t as a flat list of
-integers, vec[b] being the coefficient of sigma_(t-b, b) for
+The Pieri kernel, _pieri_step, keeps a class of pure codimension t as a
+flat list of integers, vec[b] being the coefficient of sigma_(t-b, b) for
 0 <= b <= t // 2.  Multiplying by sigma_c sends each vec[b] to one
 contiguous range of new indices, so every new coefficient is a difference
-of two prefix sums and a factor costs O(n).  The SchubertClass / CycleSum
-types are a thin public view over the same step.  The modules above this
-one validate a base once, at their public functions; their _-prefixed
-helpers take trusted (n, dims) tuples.
+of two prefix sums and a factor costs O(n).  The modules above this one
+validate a base once, at their public functions; their _-prefixed helpers
+take trusted (n, dims) tuples.
 
 All arithmetic is exact (Python integers); intersection numbers grow like
 Catalan numbers, so fixed-width arithmetic would overflow silently.
@@ -22,7 +23,6 @@ Catalan numbers, so fixed-width arithmetic would overflow silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
@@ -30,64 +30,6 @@ from typing import Sequence
 
 class DimensionMismatchError(ValueError):
     """Total codimension differs from dim G(1, n) = 2n - 2."""
-
-
-@dataclass(frozen=True, order=True)
-class SchubertClass:
-    """The cycle sigma_(a, b); its codimension in G(1, n) is a + b."""
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.b <= self.a:
-            raise ValueError(f"need a >= b >= 0, got ({self.a}, {self.b})")
-
-    @property
-    def codim(self) -> int:
-        return self.a + self.b
-
-    def fits(self, n: int) -> bool:
-        """Whether the class lives in the 2 x (n-1) box of G(1, n)."""
-        return self.a <= n - 1
-
-
-@dataclass(frozen=True)
-class CycleSum:
-    """Finite integer combination of pure-codimension classes in one G(1, n)."""
-
-    n: int
-    terms: dict
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("ambient projective dimension must be >= 2")
-        codims = set()
-        for cls, coeff in self.terms.items():
-            if not cls.fits(self.n):
-                raise ValueError(f"{cls} does not fit inside G(1, {self.n})")
-            if coeff == 0:
-                raise ValueError("zero coefficients must be dropped")
-            codims.add(cls.codim)
-        if len(codims) > 1:
-            raise ValueError("sums must have pure codimension")
-
-    @classmethod
-    def unit(cls, n: int) -> "CycleSum":
-        """The empty product sigma_(0, 0)."""
-        return cls(n, {SchubertClass(0, 0): 1})
-
-    @property
-    def codim(self) -> int | None:
-        for cls in self.terms:
-            return cls.codim
-        return None
-
-    def coefficient(self, a: int, b: int) -> int:
-        return self.terms.get(SchubertClass(a, b), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def _pieri_step(vec: list, t: int, n: int, c: int) -> list:
@@ -108,24 +50,6 @@ def _pieri_step(vec: list, t: int, n: int, c: int) -> list:
         lo = b2 - c if b2 > c else 0
         out.append(prefix[hi + 1] - prefix[lo] if hi >= lo else 0)
     return out
-
-
-def pieri_multiply(s: CycleSum, c: int) -> CycleSum:
-    """Multiply by the special class sigma_c.
-
-    Each sigma_(a, b) spreads over the horizontal-strip extensions
-    sigma_(a', b') with a' + b' = a + b + c, a' >= a >= b' >= b and
-    a' <= n - 1.  The sum is empty when no extension fits the box.
-    """
-    if not 0 <= c <= s.n - 1:
-        raise ValueError(f"special class index {c} outside [0, {s.n - 1}]")
-    t = s.codim or 0
-    vec = [s.coefficient(t - b, b) for b in range(t // 2 + 1)]
-    out = _pieri_step(vec, t, s.n, c)
-    t2 = t + c
-    return CycleSum(
-        s.n, {SchubertClass(t2 - b, b): coeff for b, coeff in enumerate(out) if coeff}
-    )
 
 
 def _check_codims(n: int, codims: Sequence[int]) -> None:

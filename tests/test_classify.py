@@ -1,7 +1,12 @@
 """Enumeration, classification tables, and the audit."""
 
+import dataclasses
 from pathlib import Path
 
+import pytest
+
+from incidence_scrolls import classify
+from incidence_scrolls.base import IncidenceBase
 from incidence_scrolls.classify import (
     audit,
     base_candidates,
@@ -127,6 +132,32 @@ def test_audit_classified_range_is_clean():
     assert report.elliptic_rows == 6
     assert report.indecomposable_e0 == []
     assert report.oracle_mismatches == []
+    assert report.directrix_oracle_mismatches == []
+
+
+def test_audit_rejects_empty_range():
+    with pytest.raises(ValueError, match="need max_n >= 3"):
+        audit(2)
+
+
+def test_audit_recounts_min_directrix_degree_by_oracle(monkeypatch):
+    # a wrong minimum directrix degree on one classified row is a violation
+    real = classify.verified_invariants
+    bad = IncidenceBase(4, (1, 2, 2, 2))
+
+    def skewed(b):
+        inv = real(b)
+        if b == bad:
+            return dataclasses.replace(inv, min_directrix_degree=inv.min_directrix_degree + 1)
+        return inv
+
+    monkeypatch.setattr(classify, "verified_invariants", skewed)
+    report = audit(4)
+    assert report.directrix_oracle_mismatches == [
+        "4:1,2,2,2: minimum directrix degree 2, bialternant gives 1"
+    ]
+    assert report.violations == report.directrix_oracle_mismatches
+    assert "    VIOLATION 4:1,2,2,2: minimum directrix degree 2" in report.render()
 
 
 def test_audit_reports_special_scrolls_honestly():

@@ -132,6 +132,18 @@ def test_audit_command(capsys):
     assert "violations: 0" in out
 
 
+def test_audit_golden(capsys):
+    assert main(["audit", "--max-n", "8"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "audit_8.txt").read_text()
+
+
+def test_audit_rejects_empty_range(capsys):
+    assert main(["audit", "--max-n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need max_n >= 3\n"
+
+
 def test_parse_error_exit_code(capsys):
     assert main(["degree", "bogus"]) == 2
     assert main(["schubert", "-n", "4", "-c", "1,x"]) == 2
@@ -158,3 +170,36 @@ def test_base_list_parse_error_names_the_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "degree = 5" in captured.out
     assert captured.err.startswith(f"error: {listing}:2: cannot parse base '4:2,x'")
+
+
+@pytest.fixture
+def listing_with_bad_line(tmp_path):
+    listing = tmp_path / "bases.txt"
+    listing.write_text("4:2,2,2,2,2\n4:2,2,2,2\n3:1,1,1\n")
+    return listing
+
+
+def test_invariants_list_keeps_lines_before_bad_one(listing_with_bad_line, capsys):
+    assert main(["invariants", f"@{listing_with_bad_line}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "4:2,2,2,2,2  R^5_1 in P^4\n"
+        "  e = -1, deg(b) = 2, min directrix degree = 3\n"
+        "  decomposable = false, speciality = 0\n"
+        "  bundle: indecomposable, e = -1\n"
+    )
+    assert captured.err.startswith("error: 4:2,2,2,2: ")
+
+
+def test_invariants_json_list_keeps_records_before_bad_line(listing_with_bad_line, capsys):
+    assert main(["invariants", f"@{listing_with_bad_line}", "--json"]) == 1
+    captured = capsys.readouterr()
+    records = json.loads(captured.out)
+    assert [r["base"] for r in records] == ["4:2,2,2,2,2"]
+    assert records[0]["degree"] == 5 and records[0]["genus"] == 1
+    assert captured.err.startswith("error: 4:2,2,2,2: ")
+
+
+def test_invariants_single_base_error_prints_nothing(capsys):
+    assert main(["invariants", "4:2,2,2,2", "--json"]) == 1
+    assert capsys.readouterr().out == ""

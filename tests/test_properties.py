@@ -4,20 +4,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from incidence_scrolls.base import IncidenceBase, normalize, validate
 from incidence_scrolls.schubert import (
-    CycleSum,
-    SchubertClass,
     intersection_number,
     _pieri_step,
     oracle_intersection_number,
-    pieri_multiply,
 )
 
 
 @st.composite
 def boxed_class(draw, n):
+    """A shape (a, b) of sigma_(a, b) inside the 2 x (n-1) box."""
     a = draw(st.integers(min_value=0, max_value=n - 1))
     b = draw(st.integers(min_value=0, max_value=a))
-    return SchubertClass(a, b)
+    return a, b
 
 
 @st.composite
@@ -53,12 +51,18 @@ def test_product_order_independence(data, rng):
 ))
 @settings(max_examples=200, deadline=None)
 def test_pieri_effective_and_pure(data):
-    n, cls, c = data
-    out = pieri_multiply(CycleSum(n, {cls: 1}), c)
-    assert all(coeff > 0 for coeff in out.terms.values())
-    assert all(term.codim == cls.codim + c for term in out.terms)
+    n, (a, b), c = data
+    t = a + b
+    vec = [0] * (t // 2 + 1)
+    vec[b] = 1
+    out = _pieri_step(vec, t, n, c)
+    assert all(coeff >= 0 for coeff in out)
+    # every surviving term is a boxed shape of codimension t + c
+    assert all(
+        t + c - b2 <= n - 1 and b2 <= t + c - b2 for b2, coeff in enumerate(out) if coeff
+    )
     # total multiplicity of a strip extension never exceeds the strip length
-    assert sum(out.terms.values()) <= c + 1
+    assert sum(out) <= c + 1
 
 
 @st.composite
@@ -82,22 +86,27 @@ def codims_with_zeros(draw):
 @settings(max_examples=200, deadline=None)
 def test_flat_kernel_equals_bialternant_up_to_40(data):
     # top-degree products of special classes never vanish; vanishing
-    # products only arise from general classes, see the pieri_multiply test
+    # products only arise from general classes, see the term-by-term tests
     n, codims = data
     value = intersection_number(n, codims)
     assert value == oracle_intersection_number(n, codims)
     assert value > 0
 
 
-def term_by_term_pieri(s: CycleSum, c: int) -> dict:
-    """Reference Pieri product, expanded one horizontal strip at a time."""
+def term_by_term_pieri(n: int, terms: dict, c: int) -> dict:
+    """Reference Pieri product of {(a, b): coeff} by sigma_c in G(1, n),
+    expanded one horizontal strip at a time."""
     out: dict = {}
-    for cls, coeff in s.terms.items():
-        a, b = cls.a, cls.b
-        for a2 in range(max(a, b + c), min(s.n - 1, a + c) + 1):
-            key = SchubertClass(a2, a + b + c - a2)
+    for (a, b), coeff in terms.items():
+        for a2 in range(max(a, b + c), min(n - 1, a + c) + 1):
+            key = (a2, a + b + c - a2)
             out[key] = out.get(key, 0) + coeff
     return out
+
+
+def as_terms(vec: list, t: int) -> dict:
+    """The nonzero terms {(t - b, b): coeff} of a flat codimension-t state."""
+    return {(t - b, b): v for b, v in enumerate(vec) if v}
 
 
 @given(st.integers(min_value=2, max_value=40).flatmap(
@@ -112,33 +121,36 @@ def test_flat_state_matches_term_by_term_products(data):
     # a product of special classes vanishes exactly when its codimension
     # exceeds dim G(1, n) = 2n - 2
     n, codims = data
-    vec, t, s = [1], 0, CycleSum.unit(n)
+    vec, t, terms = [1], 0, {(0, 0): 1}
     for c in codims:
         vec, t = _pieri_step(vec, t, n, c), t + c
-        s = CycleSum(n, term_by_term_pieri(s, c))
-        assert {SchubertClass(t - b, b): v for b, v in enumerate(vec) if v} == s.terms
+        terms = term_by_term_pieri(n, terms, c)
+        assert as_terms(vec, t) == terms
         assert any(vec) == (t <= 2 * n - 2)
 
 
 @st.composite
 def effective_cycle_sum(draw):
+    """(n, t, {(a, b): coeff}, c): a positive sum of boxed codimension-t
+    shapes in G(1, n) and the index of the special factor."""
     n = draw(st.integers(min_value=2, max_value=12))
     t = draw(st.integers(min_value=0, max_value=2 * n - 2))
     shapes = [(t - b, b) for b in range(t // 2 + 1) if t - b <= n - 1]
     chosen = draw(st.lists(st.sampled_from(shapes), unique=True, max_size=len(shapes)))
     coeffs = st.integers(min_value=1, max_value=10**30)
-    terms = {SchubertClass(a, b): draw(coeffs) for a, b in chosen}
+    terms = {shape: draw(coeffs) for shape in chosen}
     c = draw(st.integers(min_value=0, max_value=n - 1))
-    return CycleSum(n, terms), c
+    return n, t, terms, c
 
 
 @given(effective_cycle_sum())
-@example((CycleSum(3, {SchubertClass(1, 1): 1}), 2))  # no strip fits: zero
-@example((CycleSum(4, {SchubertClass(3, 3): 7}), 1))  # past the point class
+@example((3, 2, {(1, 1): 1}, 2))  # no strip fits: zero
+@example((4, 6, {(3, 3): 7}, 1))  # past the point class
 @settings(max_examples=200, deadline=None)
-def test_pieri_multiply_matches_term_by_term(data):
-    s, c = data
-    assert pieri_multiply(s, c).terms == term_by_term_pieri(s, c)
+def test_pieri_step_matches_term_by_term(data):
+    n, t, terms, c = data
+    vec = [terms.get((t - b, b), 0) for b in range(t // 2 + 1)]
+    assert as_terms(_pieri_step(vec, t, n, c), t + c) == term_by_term_pieri(n, terms, c)
 
 
 @st.composite
