@@ -1,11 +1,17 @@
 """Command-line interface.
 
 Bases are written n:d1,d2,... (for example 4:2,2,2,2,2) or as a JSON object
-{"ambient": 4, "dims": [2, 2, 2, 2, 2]}.  Commands taking a base also accept
-@FILE to process one base per line (blank lines and # comments skipped).
+{"ambient": 4, "dims": [2, 2, 2, 2, 2]}.  validate, degree, genus and
+invariants also accept @FILE, a batch of one base per line (blank lines and
+# comments skipped).  A batch keeps going past a failing line: the line is
+reported on stderr as "error: FILE:LINE: <message>" (or "internal consistency
+failure: FILE:LINE: ..."), stdout keeps every good record in order (under
+invariants --json, as one list), and the command exits with the worst exit
+code seen on any line.
 
-Exit codes: 0 success, 1 invalid or unrealizable base, 2 parse error,
-3 internal consistency failure.
+Exit codes: 0 success, 1 invalid or unrealizable base (or a degeneration
+recursion too deep for the interpreter), 2 parse error, 3 internal
+consistency failure.
 """
 
 from __future__ import annotations
@@ -13,25 +19,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .base import (
-    BaseValidationError,
     IncidenceBase,
     InternalConsistencyError,
     ScrollInvariants,
     SpecialityError,
     UnrealizableBaseError,
     _bundle_dict,
+    _degree,
     degree,
     formula_genus,
     normalize,
+    require_valid,
     validate,
 )
 from .classify import audit, build_tables, enumerate_bases, render_table, row_to_dict
 from .degeneration import (
+    _genus,
     _speciality,
-    genus_by_degeneration,
     join,
     separate,
     verified_invariants,
@@ -66,19 +74,53 @@ def parse_base(text: str) -> IncidenceBase:
         raise CLIParseError(f"cannot parse base {text!r}: {exc}") from None
 
 
-def _iter_bases(arg: str):
-    if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    try:
-                        b = parse_base(line)
-                    except CLIParseError as exc:
-                        raise CLIParseError(f"{arg[1:]}:{lineno}: {exc}") from None
-                    yield b
-    else:
-        yield parse_base(arg)
+# exit code and stderr label of each error a command reports, shared by main
+# and the @FILE batch loop (the first matching row wins); any other exception
+# is a bug and keeps its traceback
+_EXIT_CODES = {
+    CLIParseError: (2, "error"),
+    InternalConsistencyError: (3, "internal consistency failure"),
+    ValueError: (1, "error"),
+    OSError: (1, "error"),
+    RecursionError: (1, "error"),
+}
+_REPORTED = tuple(_EXIT_CODES)
+
+
+def _report(exc: Exception, base: str | None, where: str = "") -> int:
+    """Print exc on stderr, after where (a batch line's FILE:LINE), and
+    return its exit code; base is the text of the base being processed."""
+    code, label = next(v for cls, v in _EXIT_CODES.items() if isinstance(exc, cls))
+    if isinstance(exc, RecursionError):
+        exc = "degeneration recursion too deep"
+        if base:
+            exc = f"{base}: {exc}"
+    print(f"{label}: {where}{exc}", file=sys.stderr)
+    return code
+
+
+def _each_base(arg: str, run) -> int:
+    """Call run on the base arg, or on each base of the batch @FILE, and
+    return the worst exit code (run returns an exit code, or None for 0).
+
+    A single base lets its error propagate to main.  A batch reports a
+    failing line as FILE:LINE and goes on with the next one.
+    """
+    if not arg.startswith("@"):
+        return run(parse_base(arg)) or 0
+    path = arg[1:]
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")  # an unreadable file fails as a whole
+    worst = 0
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            try:
+                code = run(parse_base(line)) or 0
+            except _REPORTED as exc:
+                code = _report(exc, line, f"{path}:{lineno}: ")
+            worst = max(worst, code)
+    return worst
 
 
 def _invariants_dict(b: IncidenceBase, inv: ScrollInvariants) -> dict:
@@ -98,31 +140,34 @@ def _invariants_dict(b: IncidenceBase, inv: ScrollInvariants) -> dict:
 
 
 def cmd_validate(args) -> int:
-    worst = 0
-    for b in _iter_bases(args.base):
+    def one(b):
         report = validate(b)
         print(report.summary())
-        if not report.all_ok:
-            worst = 1
-            try:
-                reduced = normalize(b)
-                if reduced != b:
-                    print(f"  reduces to {reduced}")
-            except UnrealizableBaseError as exc:
-                print(f"  unrealizable: {exc}")
-    return worst
+        if report.all_ok:
+            return 0
+        try:
+            reduced = normalize(b)
+            if reduced != b:
+                print(f"  reduces to {reduced}")
+        except UnrealizableBaseError as exc:
+            print(f"  unrealizable: {exc}")
+        return 1
+
+    return _each_base(args.base, one)
 
 
 def cmd_degree(args) -> int:
-    for b in _iter_bases(args.base):
+    def one(b):
         print(f"{b}  degree = {degree(b)}")
-    return 0
+
+    return _each_base(args.base, one)
 
 
 def cmd_genus(args) -> int:
-    for b in _iter_bases(args.base):
-        g = genus_by_degeneration(b)
-        d = degree(b)
+    def one(b):
+        require_valid(b)
+        g = _genus(b.ambient, b.dims)
+        d = _degree(b.ambient, b.dims)
         try:
             formula = str(formula_genus(b, deg=d))
         except SpecialityError:
@@ -131,35 +176,34 @@ def cmd_genus(args) -> int:
         i = _speciality(b, d, g)
         if i:
             print(f"  scroll is special: speciality i = {i}")
-    return 0
+
+    return _each_base(args.base, one)
 
 
 def cmd_invariants(args) -> int:
     records = []
-    try:
-        for b in _iter_bases(args.base):
-            rec = _invariants_dict(b, verified_invariants(b))
-            if args.json:
-                records.append(rec)
-                continue
-            bundle = rec["bundle"]
-            print(
-                f"{rec['base']}  R^{rec['degree']}_{rec['genus']} in P^{rec['ambient']}\n"
-                f"  e = {rec['e']}, deg(b) = {rec['m']}, "
-                f"min directrix degree = {rec['min_directrix_degree']}\n"
-                f"  decomposable = {str(rec['decomposable']).lower()}, "
-                f"speciality = {rec['speciality']}"
-            )
-            if bundle is not None:
-                flag = ", e-divisor trivial" if bundle["e_trivial"] else ""
-                print(f"  bundle: {bundle['kind']}, e = {bundle['e']}{flag}")
-    except Exception:
-        if records:  # the records of a batch that come before its bad line
-            print(json.dumps(records, indent=2))
-        raise
+
+    def one(b):
+        rec = _invariants_dict(b, verified_invariants(b))
+        if args.json:
+            records.append(rec)
+            return
+        bundle = rec["bundle"]
+        print(
+            f"{rec['base']}  R^{rec['degree']}_{rec['genus']} in P^{rec['ambient']}\n"
+            f"  e = {rec['e']}, deg(b) = {rec['m']}, "
+            f"min directrix degree = {rec['min_directrix_degree']}\n"
+            f"  decomposable = {str(rec['decomposable']).lower()}, "
+            f"speciality = {rec['speciality']}"
+        )
+        if bundle is not None:
+            flag = ", e-divisor trivial" if bundle["e_trivial"] else ""
+            print(f"  bundle: {bundle['kind']}, e = {bundle['e']}{flag}")
+
+    code = _each_base(args.base, one)
     if args.json:
         print(json.dumps(records if args.base.startswith("@") else records[0], indent=2))
-    return 0
+    return code
 
 
 def cmd_join(args) -> int:
@@ -188,8 +232,10 @@ def cmd_join(args) -> int:
 def cmd_separate(args) -> int:
     b = parse_base(args.base)
     out = separate(b, args.i, args.j, add_hyperplane=args.add_hyperplane)
+    require_valid(out)
+    d, d_out = _degree(b.ambient, b.dims), _degree(out.ambient, out.dims)
     print(f"{b} separates to {out}")
-    print(f"  degree {degree(b)} -> {degree(out)}, genus {genus_by_degeneration(out)}")
+    print(f"  degree {d} -> {d_out}, genus {_genus(out.ambient, out.dims)}")
     return 0
 
 
@@ -272,7 +318,11 @@ def cmd_audit(args) -> int:
     return 3 if report.violations else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    main call in the process: parse_args returns a fresh Namespace on each
+    call and no command changes the parser."""
     parser = argparse.ArgumentParser(
         prog="incidence-scrolls",
         description="Exact classification engine for incidence scrolls",
@@ -345,18 +395,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except CLIParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 3
-    except (BaseValidationError, UnrealizableBaseError, SpecialityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except _REPORTED as exc:
+        return _report(exc, getattr(args, "base", None))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 """Command-line interface behavior and exit codes."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from incidence_scrolls import classify, cli
+from incidence_scrolls import base, classify, cli, degeneration
 from incidence_scrolls.cli import main, parse_base, CLIParseError
 from incidence_scrolls.base import IncidenceBase
 
@@ -187,19 +190,244 @@ def test_invariants_list_keeps_lines_before_bad_one(listing_with_bad_line, capsy
         "  e = -1, deg(b) = 2, min directrix degree = 3\n"
         "  decomposable = false, speciality = 0\n"
         "  bundle: indecomposable, e = -1\n"
+        "3:1,1,1  R^2_0 in P^3\n"
+        "  e = 0, deg(b) = 1, min directrix degree = 1\n"
+        "  decomposable = true, speciality = 0\n"
+        "  bundle: decomposable, e = 0\n"
     )
-    assert captured.err.startswith("error: 4:2,2,2,2: ")
+    assert captured.err.startswith(f"error: {listing_with_bad_line}:2: 4:2,2,2,2: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_invariants_json_list_keeps_records_before_bad_line(listing_with_bad_line, capsys):
     assert main(["invariants", f"@{listing_with_bad_line}", "--json"]) == 1
     captured = capsys.readouterr()
     records = json.loads(captured.out)
-    assert [r["base"] for r in records] == ["4:2,2,2,2,2"]
+    assert [r["base"] for r in records] == ["4:2,2,2,2,2", "3:1,1,1"]
     assert records[0]["degree"] == 5 and records[0]["genus"] == 1
-    assert captured.err.startswith("error: 4:2,2,2,2: ")
+    assert captured.err.startswith(f"error: {listing_with_bad_line}:2: 4:2,2,2,2: ")
 
 
 def test_invariants_single_base_error_prints_nothing(capsys):
     assert main(["invariants", "4:2,2,2,2", "--json"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_batch_keeps_going_and_exits_with_worst_code(tmp_path, capsys):
+    listing = tmp_path / "bases.txt"
+    listing.write_text("4:2,2,2,2,2\n4:2,x\n# comment\n4:2,2,2,2\n\n3:1,1,1\n")
+    assert main(["degree", f"@{listing}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "4:2,2,2,2,2  degree = 5\n3:1,1,1  degree = 2\n"
+    assert captured.err == (
+        f"error: {listing}:2: cannot parse base '4:2,x': "
+        "invalid literal for int() with base 10: 'x'\n"
+        f"error: {listing}:4: 4:2,2,2,2: imposes 4 conditions, needs 5\n"
+    )
+    assert main(["genus", f"@{listing}"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("4:2,2,2,2,2  genus by degeneration = 1")
+    assert "3:1,1,1  genus by degeneration = 0" in out
+    # validate reports the invalid base on stdout with exit 1, the parse error with 2
+    assert main(["validate", f"@{listing}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 3 and "3:1,1,1 is a valid incidence base" in captured.out
+    assert captured.err.startswith(f"error: {listing}:2: cannot parse base")
+
+
+def test_batch_reports_internal_failure_with_exit_3(listing_with_bad_line, monkeypatch, capsys):
+    real = cli.verified_invariants
+
+    def broken(b):
+        if str(b) == "4:2,2,2,2,2":
+            raise base.InternalConsistencyError(f"{b}: routes disagree")
+        return real(b)
+
+    monkeypatch.setattr(cli, "verified_invariants", broken)
+    assert main(["invariants", f"@{listing_with_bad_line}", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert [r["base"] for r in json.loads(captured.out)] == ["3:1,1,1"]
+    assert captured.err.splitlines()[0] == (
+        f"internal consistency failure: {listing_with_bad_line}:1: 4:2,2,2,2,2: routes disagree"
+    )
+    assert captured.err.splitlines()[1].startswith(f"error: {listing_with_bad_line}:2: ")
+
+
+def test_batch_from_missing_file_fails_as_a_whole(tmp_path, capsys):
+    assert main(["invariants", f"@{tmp_path / 'missing.txt'}", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+
+
+def _too_deep(n, dims):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus", "5:2,3,3,3,3,3"],
+        ["invariants", "5:2,3,3,3,3,3", "--json"],
+        ["join", "4:2,2,2,2,2", "-i", "0", "-j", "1"],
+    ],
+)
+def test_deep_recursion_is_an_error_not_a_traceback(argv, monkeypatch, capsys):
+    monkeypatch.setattr(degeneration, "_genus", _too_deep)
+    monkeypatch.setattr(cli, "_genus", _too_deep)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[1]}: degeneration recursion too deep\n"
+
+
+def test_deep_recursion_in_batch_names_the_line(tmp_path, monkeypatch, capsys):
+    listing = tmp_path / "bases.txt"
+    listing.write_text("5:2,3,3,3,3,3\n3:1,1,1\n")
+    real = cli._genus
+    monkeypatch.setattr(cli, "_genus", lambda n, dims: (_too_deep if n == 5 else real)(n, dims))
+    assert main(["genus", f"@{listing}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("3:1,1,1  genus by degeneration = 0")
+    assert captured.err == (
+        f"error: {listing}:1: 5:2,3,3,3,3,3: degeneration recursion too deep\n"
+    )
+
+
+def test_genus_and_separate_validate_each_base_once(tmp_path, monkeypatch, capsys):
+    seen = []
+    real = base.validate
+
+    def counting(b):
+        seen.append(str(b))
+        return real(b)
+
+    monkeypatch.setattr(base, "validate", counting)
+    assert main(["genus", "5:2,3,3,3,3,3"]) == 0
+    assert seen == ["5:2,3,3,3,3,3"]
+    listing = tmp_path / "bases.txt"
+    listing.write_text("4:2,2,2,2,2\n3:1,1,1\n")
+    seen.clear()
+    assert main(["genus", f"@{listing}"]) == 0
+    assert seen == ["4:2,2,2,2,2", "3:1,1,1"]
+    seen.clear()
+    capsys.readouterr()
+    assert main(["separate", "3:1,1,1", "-i", "0", "--add-hyperplane"]) == 0
+    assert seen == ["3:1,1,1", "4:1,2,2,2"]
+    assert capsys.readouterr().out == (
+        "3:1,1,1 separates to 4:1,2,2,2\n  degree 2 -> 3, genus 0\n"
+    )
+
+
+# -- one parser per process --------------------------------------------------
+
+
+def test_parser_is_built_once_for_many_calls(capsys):
+    cli.build_parser.cache_clear()
+    assert main(["degree", "4:2,2,2,2,2"]) == 0
+    assert main(["schubert", "-n", "4", "-c", "1,1,1,1,1,1"]) == 0
+    assert main(["audit", "--max-n", "3"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_flags_do_not_leak_between_calls(capsys):
+    assert main(["invariants", "6:2,3,3,4,4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 7
+    assert main(["invariants", "6:2,3,3,4,4"]) == 0
+    assert capsys.readouterr().out.startswith("6:2,3,3,4,4  R^7_1 in P^6\n")
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    assert main(["join", "4:2,2,2,2,2", "-i", "0"]) == 2
+    assert "required: -j" in capsys.readouterr().err
+    assert main(["degree", "4:2,2,2,2,2"]) == 0
+    assert capsys.readouterr() == ("4:2,2,2,2,2  degree = 5\n", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["invariants", "--help"], ["--version"]])
+@pytest.mark.parametrize("columns", ["60", "120"])
+def test_help_is_the_same_from_cached_and_fresh_parser(argv, columns, monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main(["degree", "3:1,1,1"]) == 0  # builds the parser at another width
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", columns)
+    assert main(argv) == 0
+    cached = capsys.readouterr()
+    cli.build_parser.cache_clear()
+    assert main(argv) == 0
+    assert capsys.readouterr() == cached
+    assert cached.out and cached.err == ""
+
+
+# -- argv fuzzing, in process -------------------------------------------------
+
+SUBCOMMANDS = (
+    "validate", "degree", "genus", "invariants", "join", "separate",
+    "schubert", "surface", "enumerate", "table", "audit",
+)
+# every flag but --out, which would write files
+FLAGS = (
+    "--json", "-i", "-j", "--add-hyperplane", "-n", "-c", "-g", "-e", "-m",
+    "--e-trivial", "--indecomposable", "--genus", "--max-n", "--help", "--version",
+)
+small_ints = st.integers(-2, 9).map(str)
+base_texts = st.one_of(
+    st.sampled_from([str(b) for n in range(3, 9) for b in classify.base_candidates(n)]),
+    st.builds(
+        lambda n, dims: f"{n}:{','.join(map(str, dims))}",
+        st.integers(0, 10),
+        st.lists(st.integers(-1, 10), max_size=8),
+    ),
+    st.sampled_from(
+        ["4:2,x", "nonsense", ":", "{", '{"ambient": 4}', '{"ambient": 3, "dims": [1, 1, 1]}']
+    ),
+)
+codim_lists = st.lists(st.integers(-1, 5), min_size=1, max_size=6).map(
+    lambda cs: ",".join(map(str, cs))
+)
+tokens = st.one_of(st.sampled_from(SUBCOMMANDS + FLAGS), small_ints, base_texts, codim_lists)
+genus_ints = st.sampled_from(["0", "1", "2"])
+well_formed = st.one_of(
+    st.builds(lambda c, b: [c, b], st.sampled_from(SUBCOMMANDS[:4]), base_texts),
+    st.builds(lambda b: ["invariants", b, "--json"], base_texts),
+    st.builds(lambda b, i, j: ["join", b, "-i", i, "-j", j], base_texts, small_ints, small_ints),
+    st.builds(lambda b, i: ["separate", b, "-i", i, "--add-hyperplane"], base_texts, small_ints),
+    st.builds(
+        lambda b, i, j: ["separate", b, "-i", i, "-j", j], base_texts, small_ints, small_ints
+    ),
+    st.builds(lambda n, c: ["schubert", "-n", n, "-c", c], small_ints, codim_lists),
+    st.builds(
+        lambda g, e, m: ["surface", "-g", g, "-e", e, "-m", m], genus_ints, small_ints, small_ints
+    ),
+    st.builds(lambda n: ["enumerate", "-n", n], small_ints),
+    st.builds(lambda g, n: ["table", "--genus", g, "--max-n", n], genus_ints, small_ints),
+    st.builds(lambda n: ["audit", "--max-n", n], small_ints),
+)
+argvs = st.one_of(
+    well_formed,
+    st.builds(lambda argv, extra: argv + [extra], well_formed, st.sampled_from(FLAGS) | small_ints),
+    st.builds(
+        lambda cmd, rest: [cmd, *rest], st.sampled_from(SUBCOMMANDS), st.lists(tokens, max_size=5)
+    ),
+    st.lists(tokens, max_size=4),
+)
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(argvs)
+def test_fuzzed_argv_exits_cleanly_and_ignores_parser_reuse(argv):
+    cli.build_parser.cache_clear()
+    fresh = _run_main(argv)
+    cached = _run_main(argv)
+    assert cached == fresh
+    rc, _, err = fresh
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
