@@ -8,7 +8,6 @@ classification of the rational and elliptic cases.
 
 from .base import (
     BaseValidationError,
-    BundleDescriptor,
     IncidenceBase,
     InternalConsistencyError,
     ScrollInvariants,

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .schubert import intersection_number
+
+if TYPE_CHECKING:
+    from .ruled import RuledSurfaceModel
 
 
 class UnrealizableBaseError(ValueError):
@@ -256,44 +260,9 @@ def formula_genus(b: IncidenceBase, deg: int | None = None) -> int:
     return t // 2
 
 
-@dataclass(frozen=True)
-class BundleDescriptor:
-    """Shape of the normalized rank-2 bundle behind a genus <= 1 scroll."""
-
-    kind: str
-    base_genus: int
-    e: int
-    e_divisor_trivial: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("decomposable", "indecomposable"):
-            raise ValueError(f"unknown bundle kind {self.kind!r}")
-        if self.base_genus not in (0, 1):
-            raise ValueError("bundle descriptors cover base genus 0 and 1 only")
-        if self.kind == "indecomposable":
-            if self.base_genus != 1 or self.e not in (-1, 0):
-                raise ValueError(
-                    "indecomposable bundles occur only over elliptic curves with e in {-1, 0}"
-                )
-        elif self.e < 0:
-            raise ValueError("decomposable bundles have e >= 0")
-        if self.e_divisor_trivial and not (self.base_genus == 1 and self.e == 0):
-            raise ValueError("the trivial-divisor flag applies to genus 1, e = 0 only")
-
-    def describe(self) -> str:
-        if self.kind == "indecomposable":
-            return "Ext^1(O_C(P), O_C)" if self.e == -1 else "nonsplit, e = 0"
-        if self.base_genus == 0:
-            return "O + O" if self.e == 0 else f"O + O(-{self.e})"
-        if self.e == 0:
-            return "O_C + O_C" if self.e_divisor_trivial else "O_C + O_C(e), e !~ 0"
-        if 1 <= self.e <= 3:
-            return "O_C + O_C(" + "".join(f"-{p}" for p in "PQR"[: self.e]) + ")"
-        return f"O_C + O_C(e), deg e = -{self.e}"
-
-
-def _bundle_dict(bundle: BundleDescriptor | None) -> dict | None:
+def _bundle_dict(bundle: RuledSurfaceModel | None) -> dict | None:
     """The JSON object of a bundle, shared by table rows and CLI records."""
+    # e_trivial is the field: is_e_trivial also holds for every rational e = 0
     if bundle is None:
         return None
     return {
@@ -310,7 +279,8 @@ class ScrollInvariants:
 
     divisor_degree is the degree m of the fiber part of the hyperplane
     divisor; speciality is the correction i in ambient = degree - 2 genus
-    + 1 + i and is zero exactly when the genus formula applies.
+    + 1 + i and is zero exactly when the genus formula applies.  bundle is
+    the ruled-surface model of a genus <= 1 scroll and None above genus 1.
     """
 
     degree: int
@@ -321,7 +291,7 @@ class ScrollInvariants:
     min_directrix_degree: int
     decomposable: bool
     speciality: int
-    bundle: BundleDescriptor | None
+    bundle: RuledSurfaceModel | None
 
 
 def _core_invariants(n: int, dims: tuple[int, ...]) -> tuple[int, int, int, int, bool]:
@@ -335,36 +305,3 @@ def _core_invariants(n: int, dims: tuple[int, ...]) -> tuple[int, int, int, int,
     # their dimension sum is n - 1; nondegeneracy rules out anything smaller
     decomposable = len(dims) < 2 or dims[0] + dims[1] == n - 1
     return d, min_dir, e, m, decomposable
-
-
-# the unique base whose elliptic e = 0 scroll has a trivial normalizing divisor
-_TRIVIAL_DIVISOR_BASE = IncidenceBase(7, (3, 3, 3, 5, 5))
-
-
-def e_divisor_trivial(b: IncidenceBase, genus: int, e: int, decomposable: bool) -> bool:
-    """Whether the degree-zero normalizing divisor is linearly trivial.
-
-    Decidable without coordinates only for genus 1, e = 0 bases, where the
-    trivial-divisor scroll has the unique base {3 P^3, 2 P^5} in P^7.
-    """
-    if genus != 1 or e != 0 or not decomposable:
-        return False
-    return b == _TRIVIAL_DIVISOR_BASE
-
-
-def bundle_for(
-    b: IncidenceBase, genus: int, e: int, decomposable: bool
-) -> BundleDescriptor | None:
-    if genus > 1:
-        return None
-    if genus == 0 and not decomposable:
-        raise InternalConsistencyError(
-            f"{b}: rational scroll classified as indecomposable"
-        )
-    kind = "decomposable" if decomposable else "indecomposable"
-    return BundleDescriptor(
-        kind=kind,
-        base_genus=genus,
-        e=e,
-        e_divisor_trivial=e_divisor_trivial(b, genus, e, decomposable),
-    )

@@ -16,11 +16,21 @@ from .ruled import (
     incidence_clause,
     is_incidence,
     min_directrix_count,
-    model_from_invariants,
     predicted_base,
     very_ample,
 )
 from .schubert import intersection_number, oracle_intersection_number
+
+# the largest ambient dimension enumerate, table and audit accept: the number
+# of candidate bases, and the time, grow about 1.6x per step in n
+MAX_ENUMERATION_N = 20
+
+
+def _check_max_n(n: int) -> None:
+    if n > MAX_ENUMERATION_N:
+        raise ValueError(
+            f"enumeration is limited to ambient dimension {MAX_ENUMERATION_N}, got {n}"
+        )
 
 
 def _codim_partitions(total: int, max_part: int):
@@ -42,6 +52,7 @@ def base_candidates(n: int) -> list[IncidenceBase]:
     order."""
     if n < 3:
         raise ValueError("enumeration starts at ambient dimension 3")
+    _check_max_n(n)
     out = []
     for parts in _codim_partitions(2 * n - 3, n - 2):
         # the two largest codimensions correspond to the two smallest spaces
@@ -93,14 +104,14 @@ def build_tables(max_n: int = 8) -> tuple[list[TableRow], list[TableRow]]:
     """(rational rows, elliptic rows) for ambient dimensions 3..max_n."""
     if max_n < 3:
         raise ValueError("need max_n >= 3")
+    _check_max_n(max_n)
     rational: list[TableRow] = []
     elliptic: list[TableRow] = []
     for n in range(3, max_n + 1):
         for b, inv in enumerate_bases(n):
             if inv.genus > 1:
                 continue
-            model = model_from_invariants(inv)
-            row = TableRow(b, inv, min_directrix_count(model))
+            row = TableRow(b, inv, min_directrix_count(inv.bundle))
             (rational if inv.genus == 0 else elliptic).append(row)
     return rational, elliptic
 
@@ -215,6 +226,7 @@ def audit(max_n: int = 8) -> AuditReport:
     and cross-validate degrees and genus formulas for all of them."""
     if max_n < 3:
         raise ValueError("need max_n >= 3")
+    _check_max_n(max_n)
     report = AuditReport(max_n=max_n)
     seen_keys: dict[tuple[int, int, int, int], IncidenceBase] = {}
     for n in range(3, max_n + 1):
@@ -246,7 +258,7 @@ def audit(max_n: int = 8) -> AuditReport:
                     f"{b}: minimum directrix degree {inv.min_directrix_degree}, "
                     f"bialternant gives {oracle_min_dir}"
                 )
-            model = model_from_invariants(inv)
+            model = inv.bundle
             if inv.genus == 1 and not inv.decomposable and inv.e == 0:
                 report.indecomposable_e0.append(f"{b}: indecomposable elliptic with e = 0")
             if not very_ample(model):

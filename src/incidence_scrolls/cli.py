@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Bases are written n:d1,d2,... (for example 4:2,2,2,2,2) or as a JSON object
-{"ambient": 4, "dims": [2, 2, 2, 2, 2]}.  validate, degree, genus and
+{"ambient": 4, "dims": [2, 2, 2, 2, 2]} of integers only.  validate, degree, genus and
 invariants also accept @FILE, a batch of one base per line (blank lines and
 # comments skipped).  A batch keeps going past a failing line: the line is
 reported on stderr as "error: FILE:LINE: <message>" (or "internal consistency
@@ -66,7 +66,12 @@ def parse_base(text: str) -> IncidenceBase:
     try:
         if text.startswith("{"):
             obj = json.loads(text)
-            return IncidenceBase(int(obj["ambient"]), tuple(int(d) for d in obj["dims"]))
+            n, dims = obj["ambient"], obj["dims"]
+            # only JSON integers: int() would truncate 4.9, iterate "22222"
+            # and overflow on 1e400; a bool is an int to Python, not to JSON
+            if not isinstance(dims, list) or any(type(v) is not int for v in (n, *dims)):
+                raise ValueError("ambient and dims must be an integer and a list of integers")
+            return IncidenceBase(n, tuple(dims))
         head, _, tail = text.partition(":")
         dims = tuple(int(p) for p in tail.split(",")) if tail else ()
         return IncidenceBase(int(head), dims)

@@ -20,9 +20,9 @@ from .base import (
     _core_invariants,
     _degree,
     _normalize,
-    bundle_for,
     require_valid,
 )
+from .ruled import model_for
 from .schubert import intersection_number
 
 
@@ -221,5 +221,5 @@ def verified_invariants(b: IncidenceBase) -> ScrollInvariants:
         min_directrix_degree=min_dir,
         decomposable=decomposable,
         speciality=i,
-        bundle=bundle_for(b, g, e, decomposable),
+        bundle=model_for(b, g, e, m, decomposable),
     )

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import (
-    _TRIVIAL_DIVISOR_BASE,
-    IncidenceBase,
-    InternalConsistencyError,
-    ScrollInvariants,
-    normalize,
-)
+from .base import IncidenceBase, InternalConsistencyError, normalize
+
+# the unique base whose elliptic e = 0 scroll has a trivial normalizing divisor
+_TRIVIAL_DIVISOR_BASE = IncidenceBase(7, (3, 3, 3, 5, 5))
 
 
 def h0_rational(a: int, m: int, e: int) -> int:
@@ -85,24 +82,48 @@ class RuledSurfaceModel:
         return self.divisor_degree
 
     @property
+    def kind(self) -> str:
+        return "decomposable" if self.decomposable else "indecomposable"
+
+    @property
+    def base_genus(self) -> int:
+        return self.genus
+
+    @property
     def is_e_trivial(self) -> bool:
         # a degree-0 divisor on a rational curve is automatically trivial
         if self.genus == 0:
             return self.e == 0
         return self.e_divisor_trivial
 
+    def describe(self) -> str:
+        """The normalized bundle, as the classification tables print it."""
+        if not self.decomposable:
+            return "Ext^1(O_C(P), O_C)" if self.e == -1 else "nonsplit, e = 0"
+        if self.genus == 0:
+            return "O + O" if self.e == 0 else f"O + O(-{self.e})"
+        if self.e == 0:
+            return "O_C + O_C" if self.e_divisor_trivial else "O_C + O_C(e), e !~ 0"
+        if 1 <= self.e <= 3:
+            return "O_C + O_C(" + "".join(f"-{p}" for p in "PQR"[: self.e]) + ")"
+        return f"O_C + O_C(e), deg e = -{self.e}"
 
-def model_from_invariants(inv: ScrollInvariants) -> RuledSurfaceModel:
-    if inv.genus > 1:
-        raise ValueError("models cover genus 0 and 1 only")
-    bundle = inv.bundle
-    return RuledSurfaceModel(
-        genus=inv.genus,
-        e=inv.e,
-        divisor_degree=inv.divisor_degree,
-        decomposable=inv.decomposable,
-        e_divisor_trivial=bundle.e_divisor_trivial if bundle is not None else False,
-    )
+
+def model_for(
+    b: IncidenceBase, genus: int, e: int, m: int, decomposable: bool
+) -> RuledSurfaceModel | None:
+    """The model of the scroll swept by the valid base b, None above genus 1.
+
+    The normalizing divisor's triviality is decidable without coordinates
+    only for genus 1, e = 0, where the trivial-divisor scroll has the unique
+    base {3 P^3, 2 P^5} in P^7.
+    """
+    if genus > 1:
+        return None
+    if genus == 0 and not decomposable:
+        raise InternalConsistencyError(f"{b}: rational scroll classified as indecomposable")
+    trivial = genus == 1 and e == 0 and decomposable and b == _TRIVIAL_DIVISOR_BASE
+    return RuledSurfaceModel(genus, e, m, decomposable, trivial)
 
 
 def very_ample(model: RuledSurfaceModel) -> bool:

@@ -44,7 +44,6 @@ from incidence_scrolls.ruled import (
     RuledSurfaceModel,
     h0_rational,
     is_incidence,
-    model_from_invariants,
     predicted_base,
 )
 from incidence_scrolls.schubert import intersection_number, oracle_intersection_number
@@ -251,7 +250,7 @@ def test_criterion_7_section_count_gate():
 
     rational, elliptic = build_tables(8)
     for row in rational + elliptic:
-        model = model_from_invariants(row.invariants)
+        model = row.invariants.bundle
         assert is_incidence(model), row.base
         predicted = predicted_base(model)
         assert validate(predicted).all_ok

@@ -140,6 +140,28 @@ def test_audit_rejects_empty_range():
         audit(2)
 
 
+def test_lower_bound_messages():
+    with pytest.raises(ValueError, match="^enumeration starts at ambient dimension 3$"):
+        base_candidates(2)
+    with pytest.raises(ValueError, match="^need max_n >= 3$"):
+        build_tables(2)
+
+
+@pytest.mark.parametrize("entry", [base_candidates, build_tables, audit])
+def test_enumeration_limit_fails_before_any_work(entry, monkeypatch):
+    # n = MAX_ENUMERATION_N itself is accepted; the gate runs before any base
+    calls = []
+    monkeypatch.setattr(classify, "verified_invariants", lambda b: calls.append(b))
+    monkeypatch.setattr(classify, "_codim_partitions", lambda *a: calls.append(a) or [])
+    limit = classify.MAX_ENUMERATION_N
+    message = f"limited to ambient dimension {limit}, got {limit + 1}$"
+    with pytest.raises(ValueError, match=message):
+        entry(limit + 1)
+    assert calls == []
+    assert base_candidates(limit) == []
+    assert calls == [(2 * limit - 3, limit - 2)]
+
+
 def test_audit_recounts_min_directrix_degree_by_oracle(monkeypatch):
     # a wrong minimum directrix degree on one classified row is a violation
     real = classify.verified_invariants

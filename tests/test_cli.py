@@ -26,6 +26,45 @@ def test_parse_base_formats():
         parse_base("nonsense")
 
 
+NON_INTEGER_JSON_BASES = [
+    '{"ambient": 4.9, "dims": [2.7, 2, 2, 2, 2]}',
+    '{"ambient": 4, "dims": "22222"}',
+    '{"ambient": 1e400, "dims": [1]}',
+    '{"ambient": 4, "dims": [2, 2, 2, 2, 2.0]}',
+    '{"ambient": true, "dims": [1, 1, 1]}',
+    '{"ambient": 3, "dims": [1, 1, false]}',
+    '{"ambient": "4", "dims": [2, 2, 2, 2, 2]}',
+    '{"ambient": 4, "dims": {"0": 2}}',
+]
+
+
+@pytest.mark.parametrize("text", NON_INTEGER_JSON_BASES)
+def test_json_base_takes_only_integers(text, capsys):
+    with pytest.raises(CLIParseError):
+        parse_base(text)
+    assert main(["degree", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot parse base")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "-n", "21"],
+        ["table", "--genus", "0", "--max-n", "21"],
+        ["audit", "--max-n", "40"],
+    ],
+)
+def test_enumeration_limit_is_an_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit, n = classify.MAX_ENUMERATION_N, argv[-1]
+    assert captured.err == f"error: enumeration is limited to ambient dimension {limit}, got {n}\n"
+
+
 def test_validate_ok(capsys):
     assert main(["validate", "4:2,2,2,2,2"]) == 0
     assert "valid incidence base" in capsys.readouterr().out
@@ -381,6 +420,17 @@ base_texts = st.one_of(
     ),
     st.sampled_from(
         ["4:2,x", "nonsense", ":", "{", '{"ambient": 4}', '{"ambient": 3, "dims": [1, 1, 1]}']
+        + NON_INTEGER_JSON_BASES
+    ),
+    st.builds(
+        lambda n, dims: json.dumps({"ambient": n, "dims": dims}),
+        st.one_of(st.integers(0, 10), st.floats(), st.booleans(), st.text(max_size=3)),
+        st.one_of(
+            st.lists(
+                st.one_of(st.integers(-1, 10), st.floats(-1, 10), st.booleans()), max_size=8
+            ),
+            st.text(max_size=8),
+        ),
     ),
 )
 codim_lists = st.lists(st.integers(-1, 5), min_size=1, max_size=6).map(

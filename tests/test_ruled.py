@@ -2,7 +2,8 @@
 
 import pytest
 
-from incidence_scrolls.base import validate
+from incidence_scrolls.base import _bundle_dict, validate
+from incidence_scrolls.classify import base_candidates
 from incidence_scrolls.degeneration import verified_invariants
 from incidence_scrolls.ruled import (
     RuledSurfaceModel,
@@ -12,7 +13,6 @@ from incidence_scrolls.ruled import (
     h0_rational,
     is_incidence,
     min_directrix_count,
-    model_from_invariants,
     predicted_base,
     very_ample,
 )
@@ -56,6 +56,55 @@ def test_model_validation():
         RuledSurfaceModel(genus=1, e=2, divisor_degree=5, decomposable=False)
     with pytest.raises(ValueError):
         RuledSurfaceModel(genus=1, e=1, divisor_degree=4, e_divisor_trivial=True)
+
+
+@pytest.mark.parametrize(
+    "g,e,m,kwargs,expected",
+    [
+        (0, 0, 1, {}, "O + O"),
+        (0, 2, 3, {}, "O + O(-2)"),
+        (1, -1, 2, {"decomposable": False}, "Ext^1(O_C(P), O_C)"),
+        (1, 0, 3, {"decomposable": False}, "nonsplit, e = 0"),
+        (1, 0, 4, {"e_divisor_trivial": True}, "O_C + O_C"),
+        (1, 0, 3, {}, "O_C + O_C(e), e !~ 0"),
+        (1, 1, 4, {}, "O_C + O_C(-P)"),
+        (1, 2, 5, {}, "O_C + O_C(-P-Q)"),
+        (1, 3, 6, {}, "O_C + O_C(-P-Q-R)"),
+        (1, 5, 8, {}, "O_C + O_C(e), deg e = -5"),
+    ],
+)
+def test_describe(g, e, m, kwargs, expected):
+    assert RuledSurfaceModel(g, e, m, **kwargs).describe() == expected
+
+
+def test_kind_and_base_genus():
+    assert RuledSurfaceModel(0, 1, 3).kind == "decomposable"
+    assert RuledSurfaceModel(1, -1, 2, decomposable=False).kind == "indecomposable"
+    assert RuledSurfaceModel(1, 0, 3).base_genus == 1
+
+
+def test_invariants_carry_their_model():
+    # the bundle is the model itself, and the JSON flag is the field: the
+    # property is_e_trivial holds for every rational e = 0 model
+    rows = 0
+    for n in range(3, 11):
+        for b in base_candidates(n):
+            inv = verified_invariants(b)
+            if inv.genus > 1:
+                assert inv.bundle is None
+                continue
+            rows += 1
+            model = inv.bundle
+            assert isinstance(model, RuledSurfaceModel)
+            assert (model.genus, model.e, model.m, model.decomposable) == (
+                inv.genus,
+                inv.e,
+                inv.divisor_degree,
+                inv.decomposable,
+            )
+            if inv.genus == 0:
+                assert _bundle_dict(model)["e_trivial"] is False
+    assert rows > 0
 
 
 @pytest.mark.parametrize(
@@ -153,7 +202,7 @@ def test_predicted_base_reproduces_model():
             model.m,
         )
         assert inv.degree == 2 * model.m - model.e
-        assert model_from_invariants(inv) == model
+        assert inv.bundle == model
 
 
 @pytest.mark.parametrize(
