@@ -36,7 +36,6 @@ from .degeneration import (
     join,
     separate,
     speciality,
-    split_base,
     verified_invariants,
 )
 from .ruled import (

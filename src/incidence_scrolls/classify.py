@@ -33,34 +33,32 @@ def _check_max_n(n: int) -> None:
         )
 
 
-def _codim_partitions(total: int, max_part: int):
-    """Partitions of total into parts in [1, max_part], descending."""
-
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield []
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield [first] + rest
-
-    yield from rec(total, max_part)
-
-
 def base_candidates(n: int) -> list[IncidenceBase]:
     """All dimension multisets in P^n passing validation, in lexicographic
-    order."""
+    order.
+
+    A depth-first walk picks dims in ascending order: each pick is at most
+    n - 2 (no hyperplane) and leaves a codimension budget the remaining picks
+    can spend exactly (the curve condition), and the second pick makes a
+    nondegenerate pair with the first.  Every pick spends at least one
+    codimension, so no base is a prefix of another and the preorder is the
+    lexicographic order of dims.  Ascending dims are descending
+    codimensions, the order in which the Schubert kernel multiplies its
+    factors.
+    """
     if n < 3:
         raise ValueError("enumeration starts at ambient dimension 3")
     _check_max_n(n)
     out = []
-    for parts in _codim_partitions(2 * n - 3, n - 2):
-        # the two largest codimensions correspond to the two smallest spaces
-        if len(parts) >= 2 and parts[0] + parts[1] > n - 1:
-            continue
-        dims = tuple(sorted(n - 1 - c for c in parts))
-        out.append(IncidenceBase(n, dims))
-    out.sort(key=lambda b: b.dims)
+
+    def walk(dims: tuple[int, ...], lo: int, budget: int) -> None:
+        if budget == 0:
+            out.append(IncidenceBase(n, dims))
+            return
+        for d in range(max(lo, n - 1 - budget), n - 1):
+            walk(dims + (d,), d if dims else max(d, n - 1 - d), budget - (n - 1 - d))
+
+    walk((), 0, 2 * n - 3)
     return out
 
 
@@ -72,6 +70,15 @@ def enumerate_bases(n: int) -> list[tuple[IncidenceBase, ScrollInvariants]]:
     speciality instead of failing.
     """
     return [(b, verified_invariants(b)) for b in base_candidates(n)]
+
+
+def _enumerated(max_n: int):
+    """Every (base, invariants) pair for 3 <= n <= max_n, in order of n; the
+    range is checked here, before any base is measured."""
+    if max_n < 3:
+        raise ValueError("need max_n >= 3")
+    _check_max_n(max_n)
+    return (pair for n in range(3, max_n + 1) for pair in enumerate_bases(n))
 
 
 @dataclass(frozen=True)
@@ -102,17 +109,13 @@ class TableRow:
 
 def build_tables(max_n: int = 8) -> tuple[list[TableRow], list[TableRow]]:
     """(rational rows, elliptic rows) for ambient dimensions 3..max_n."""
-    if max_n < 3:
-        raise ValueError("need max_n >= 3")
-    _check_max_n(max_n)
     rational: list[TableRow] = []
     elliptic: list[TableRow] = []
-    for n in range(3, max_n + 1):
-        for b, inv in enumerate_bases(n):
-            if inv.genus > 1:
-                continue
-            row = TableRow(b, inv, min_directrix_count(inv.bundle))
-            (rational if inv.genus == 0 else elliptic).append(row)
+    for b, inv in _enumerated(max_n):
+        if inv.genus > 1:
+            continue
+        row = TableRow(b, inv, min_directrix_count(inv.bundle))
+        (rational if inv.genus == 0 else elliptic).append(row)
     return rational, elliptic
 
 
@@ -224,63 +227,59 @@ class AuditReport:
 def audit(max_n: int = 8) -> AuditReport:
     """Check every enumerated base with genus <= 1 against the classification
     and cross-validate degrees and genus formulas for all of them."""
-    if max_n < 3:
-        raise ValueError("need max_n >= 3")
-    _check_max_n(max_n)
     report = AuditReport(max_n=max_n)
     seen_keys: dict[tuple[int, int, int, int], IncidenceBase] = {}
-    for n in range(3, max_n + 1):
-        for b, inv in enumerate_bases(n):
-            report.bases_checked += 1
-            codims = b.codims()
-            deg_codims = codims + (1,)
-            if intersection_number(n, deg_codims) != oracle_intersection_number(n, deg_codims):
-                report.oracle_mismatches.append(f"{b}: Pieri and bialternant degrees differ")
-            if inv.speciality != 0:
-                report.speciality_exceptions.append(
-                    f"{b}: degree={inv.degree} genus={inv.genus} "
-                    f"speciality={inv.speciality}"
-                )
-            if inv.genus > 1:
-                continue
-            if inv.genus == 0:
-                report.rational_rows += 1
-            else:
-                report.elliptic_rows += 1
-            # the oracle recounts each directrix; a point base space traces none
-            oracle_min_dir = min(
-                oracle_intersection_number(n, codims[:k] + (c + 1,) + codims[k + 1 :])
-                if c < n - 1 else 0
-                for k, c in enumerate(codims)
+    for b, inv in _enumerated(max_n):
+        report.bases_checked += 1
+        n, codims = b.ambient, b.codims()
+        deg_codims = codims + (1,)
+        if intersection_number(n, deg_codims) != oracle_intersection_number(n, deg_codims):
+            report.oracle_mismatches.append(f"{b}: Pieri and bialternant degrees differ")
+        if inv.speciality != 0:
+            report.speciality_exceptions.append(
+                f"{b}: degree={inv.degree} genus={inv.genus} "
+                f"speciality={inv.speciality}"
             )
-            if inv.min_directrix_degree != oracle_min_dir:
-                report.directrix_oracle_mismatches.append(
-                    f"{b}: minimum directrix degree {inv.min_directrix_degree}, "
-                    f"bialternant gives {oracle_min_dir}"
-                )
-            model = inv.bundle
-            if inv.genus == 1 and not inv.decomposable and inv.e == 0:
-                report.indecomposable_e0.append(f"{b}: indecomposable elliptic with e = 0")
-            if not very_ample(model):
-                report.clause_failures.append(f"{b}: model {model} not very ample")
-                continue
-            clause = incidence_clause(model)
-            if clause is None or not is_incidence(model):
-                report.clause_failures.append(
-                    f"{b}: (g, e, m) = ({inv.genus}, {inv.e}, {inv.divisor_degree}) "
-                    f"matches no classification clause"
-                )
-                continue
-            predicted = predicted_base(model)
-            if predicted != b:
-                report.predicted_base_mismatches.append(
-                    f"{b}: clause '{clause}' predicts {predicted}"
-                )
-            key = (inv.degree, inv.genus, inv.ambient, inv.e)
-            if key in seen_keys:
-                report.uniqueness_collisions.append(
-                    f"{b} and {seen_keys[key]} share (d, g, n, e) = {key}"
-                )
-            else:
-                seen_keys[key] = b
+        if inv.genus > 1:
+            continue
+        if inv.genus == 0:
+            report.rational_rows += 1
+        else:
+            report.elliptic_rows += 1
+        # the oracle recounts each directrix; a point base space traces none
+        oracle_min_dir = min(
+            oracle_intersection_number(n, codims[:k] + (c + 1,) + codims[k + 1 :])
+            if c < n - 1 else 0
+            for k, c in enumerate(codims)
+        )
+        if inv.min_directrix_degree != oracle_min_dir:
+            report.directrix_oracle_mismatches.append(
+                f"{b}: minimum directrix degree {inv.min_directrix_degree}, "
+                f"bialternant gives {oracle_min_dir}"
+            )
+        model = inv.bundle
+        if inv.genus == 1 and not inv.decomposable and inv.e == 0:
+            report.indecomposable_e0.append(f"{b}: indecomposable elliptic with e = 0")
+        if not very_ample(model):
+            report.clause_failures.append(f"{b}: model {model} not very ample")
+            continue
+        clause = incidence_clause(model)
+        if clause is None or not is_incidence(model):
+            report.clause_failures.append(
+                f"{b}: (g, e, m) = ({inv.genus}, {inv.e}, {inv.divisor_degree}) "
+                f"matches no classification clause"
+            )
+            continue
+        predicted = predicted_base(model)
+        if predicted != b:
+            report.predicted_base_mismatches.append(
+                f"{b}: clause '{clause}' predicts {predicted}"
+            )
+        key = (inv.degree, inv.genus, inv.ambient, inv.e)
+        if key in seen_keys:
+            report.uniqueness_collisions.append(
+                f"{b} and {seen_keys[key]} share (d, g, n, e) = {key}"
+            )
+        else:
+            seen_keys[key] = b
     return report

@@ -61,6 +61,14 @@ class CLIParseError(Exception):
     pass
 
 
+def _parse_int(field: str) -> int:
+    """int(field) for a plain decimal -?[0-9]+ only: int() alone also takes
+    signs, underscores, whitespace and non-ASCII digits."""
+    if not (field.isascii() and field.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {field!r}")
+    return int(field)
+
+
 def parse_base(text: str) -> IncidenceBase:
     text = text.strip()
     try:
@@ -73,8 +81,8 @@ def parse_base(text: str) -> IncidenceBase:
                 raise ValueError("ambient and dims must be an integer and a list of integers")
             return IncidenceBase(n, tuple(dims))
         head, _, tail = text.partition(":")
-        dims = tuple(int(p) for p in tail.split(",")) if tail else ()
-        return IncidenceBase(int(head), dims)
+        dims = tuple(_parse_int(p) for p in tail.split(",")) if tail else ()
+        return IncidenceBase(_parse_int(head), dims)
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CLIParseError(f"cannot parse base {text!r}: {exc}") from None
 
@@ -246,7 +254,7 @@ def cmd_separate(args) -> int:
 
 def cmd_schubert(args) -> int:
     try:
-        codims = [int(p) for p in args.codims.split(",")]
+        codims = [_parse_int(p) for p in args.codims.split(",")]
     except ValueError as exc:
         raise CLIParseError(f"cannot parse codimensions {args.codims!r}: {exc}") from None
     value = intersection_number(args.n, codims)

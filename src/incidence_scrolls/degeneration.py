@@ -71,30 +71,19 @@ def _split_parts(
     return m, dot, ddot, kappa
 
 
-def split_base(
-    b: IncidenceBase, i: int, j: int
-) -> tuple[int, IncidenceBase, IncidenceBase, int]:
-    """Combinatorial part of a join: (m, beta_dot, beta_ddot, kappa).
+def join(b: IncidenceBase, i: int, j: int) -> DegenerationSplit:
+    """Split the scroll of b by joining base spaces i and j.
 
     kappa is the count of lines inside the hyperplane through the forced
     P^m that still meet every reduced space, an intersection number in
-    G(1, n-1) of automatically full codimension.
+    G(1, n-1) of automatically full codimension.  When m = 0 the first
+    component is a plane, (d1, g1) = (1, 0); otherwise both components are
+    normalized and measured recursively.  The degree bookkeeping
+    d = d1 + d2 is checked against independent Schubert computations.
     """
     require_valid(b)
     m, dot, ddot, kappa = _split_parts(b.ambient, b.dims, i, j)
-    return m, IncidenceBase(b.ambient, dot), IncidenceBase(b.ambient - 1, ddot), kappa
-
-
-def join(b: IncidenceBase, i: int, j: int, genus: int | None = None) -> DegenerationSplit:
-    """Split the scroll of b by joining base spaces i and j.
-
-    When m = 0 the first component is a plane, (d1, g1) = (1, 0); otherwise
-    both components are normalized and measured recursively.  The degree
-    bookkeeping d = d1 + d2 is checked against independent Schubert
-    computations, and g = g1 + g2 + kappa - 1 is checked when the caller
-    supplies the genus.
-    """
-    m, beta_dot, beta_ddot, kappa = split_base(b, i, j)
+    beta_dot, beta_ddot = IncidenceBase(b.ambient, dot), IncidenceBase(b.ambient - 1, ddot)
     d = _degree(b.ambient, b.dims)
     # normalization keeps the curve condition and removes hyperplanes and
     # degenerate pairs, so both components are valid bases
@@ -108,10 +97,6 @@ def join(b: IncidenceBase, i: int, j: int, genus: int | None = None) -> Degenera
     if d1 + d2 != d:
         raise InternalConsistencyError(
             f"{b}: join degrees {d1} + {d2} != {d} for pair ({i}, {j})"
-        )
-    if genus is not None and genus != g1 + g2 + kappa - 1:
-        raise InternalConsistencyError(
-            f"{b}: supplied genus {genus} != {g1} + {g2} + {kappa} - 1"
         )
     return DegenerationSplit(m, beta_dot, beta_ddot, kappa, d1, g1, d2, g2)
 

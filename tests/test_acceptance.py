@@ -38,7 +38,6 @@ from incidence_scrolls.degeneration import (
     genus_by_degeneration,
     join,
     separate,
-    split_base,
 )
 from incidence_scrolls.ruled import (
     RuledSurfaceModel,
@@ -144,13 +143,13 @@ def _engine_codim_multisets(max_n):
             multisets.add((n, tuple(sorted(codims))))
         if degree(b) <= 2:
             return
-        m, bdot, bddot, _ = split_base(b, 0, 1)
+        split = join(b, 0, 1)
         rest = b.dims[2:]
-        kappa_codims = (n - 2 - m,) + tuple(n - 1 - x for x in rest)
+        kappa_codims = (n - 2 - split.m,) + tuple(n - 1 - x for x in rest)
         multisets.add((n - 1, tuple(sorted(kappa_codims))))
-        if m != 0:
-            walk(normalize(bdot))
-        walk(normalize(bddot))
+        if split.m != 0:
+            walk(normalize(split.beta_dot))
+        walk(normalize(split.beta_ddot))
 
     for n in range(3, max_n + 1):
         for b in base_candidates(n):
@@ -273,9 +272,9 @@ def test_criterion_8_roundtrip():
             assert genus_by_degeneration(out) == genus_by_degeneration(b)
             ii = out.dims.index(b.dims[i])
             jj = out.dims.index(b.dims[j], ii + 1 if b.dims[j] == b.dims[i] else 0)
-            m, _, bddot, kappa = split_base(out, ii, jj)
-            assert m == 0 and kappa == 1
-            assert normalize(bddot) == b
+            split = join(out, ii, jj)
+            assert split.m == 0 and split.kappa == 1
+            assert normalize(split.beta_ddot) == b
     assert pairs_found > 0
     # chains with a directrix line use the virtual hyperplane
     for n in range(3, 8):

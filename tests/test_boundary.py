@@ -20,7 +20,6 @@ from incidence_scrolls.degeneration import (
     join,
     separate,
     speciality,
-    split_base,
     verified_invariants,
 )
 
@@ -36,7 +35,6 @@ ENTRY_POINTS = {
     "min_directrix_degree": min_directrix_degree,
     "genus_by_degeneration": genus_by_degeneration,
     "join": lambda b: join(b, 0, 1),
-    "split_base": lambda b: split_base(b, 0, 1),
     "separate": lambda b: separate(b, 0, 1),
     "speciality": speciality,
     "verified_invariants": verified_invariants,

@@ -1,6 +1,7 @@
 """Enumeration, classification tables, and the audit."""
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import pytest
@@ -56,14 +57,32 @@ def test_base_candidates_small():
 
 
 def test_candidates_all_valid_and_sorted():
+    # and complete: a brute force over every multiset of dims with the right
+    # codimension sum, kept if valid and sorted, gives the same list;
+    # hyperplanes (dim n - 1) impose no condition and are never valid, so
+    # they are left out and every space spends at least one codimension
     from incidence_scrolls.base import validate
 
-    for n in range(3, 9):
-        candidates = base_candidates(n)
-        assert candidates == sorted(candidates, key=lambda b: b.dims)
-        for b in candidates:
-            assert validate(b).all_ok
-            assert all(d >= 1 for d in b.dims)
+    for n in range(3, 10):
+        brute = sorted(
+            dims
+            for r in range(1, 2 * n - 2)
+            for dims in itertools.combinations_with_replacement(range(n - 1), r)
+            if sum(n - 1 - d for d in dims) == 2 * n - 3
+            and validate(IncidenceBase(n, dims)).all_ok
+        )
+        assert [b.dims for b in base_candidates(n)] == brute
+
+
+# number of candidate bases for n = 3, 4, ..., MAX_ENUMERATION_N
+CANDIDATE_COUNTS = [
+    1, 2, 5, 10, 21, 39, 74, 129, 229, 381, 641, 1030, 1662, 2588, 4043, 6136, 9322, 13845,
+]
+
+
+def test_candidate_counts():
+    ns = range(3, classify.MAX_ENUMERATION_N + 1)
+    assert [len(base_candidates(n)) for n in ns] == CANDIDATE_COUNTS
 
 
 def test_enumerate_includes_high_genus():
@@ -152,14 +171,14 @@ def test_enumeration_limit_fails_before_any_work(entry, monkeypatch):
     # n = MAX_ENUMERATION_N itself is accepted; the gate runs before any base
     calls = []
     monkeypatch.setattr(classify, "verified_invariants", lambda b: calls.append(b))
-    monkeypatch.setattr(classify, "_codim_partitions", lambda *a: calls.append(a) or [])
+    monkeypatch.setattr(classify, "IncidenceBase", lambda n, dims: calls.append((n, dims)))
     limit = classify.MAX_ENUMERATION_N
     message = f"limited to ambient dimension {limit}, got {limit + 1}$"
     with pytest.raises(ValueError, match=message):
         entry(limit + 1)
     assert calls == []
-    assert base_candidates(limit) == []
-    assert calls == [(2 * limit - 3, limit - 2)]
+    assert len(base_candidates(limit)) == len(calls) == CANDIDATE_COUNTS[-1]
+    assert calls[0] == (limit, (1,) + (limit - 2,) * (limit - 1))
 
 
 def test_audit_recounts_min_directrix_degree_by_oracle(monkeypatch):

@@ -50,6 +50,43 @@ def test_json_base_takes_only_integers(text, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, field",
+    [
+        ("0_4:2,2,2,2,2", "0_4"),
+        ("4:+2,2,2,2,2", "+2"),
+        ("4:\u0662,2,2,2,2", "\u0662"),  # ARABIC-INDIC DIGIT TWO
+        ("4:2, 2,2,2,2", " 2"),
+    ],
+)
+def test_text_base_takes_only_plain_integers(text, field, capsys):
+    # int() alone would read each of these as 4:2,2,2,2,2
+    assert main(["degree", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot parse base {text!r}: invalid literal for int() with base 10: {field!r}\n"
+    )
+
+
+@pytest.mark.parametrize("codims, field", [("+1,1,1,1,1,1", "+1"), ("1,1,1,1,1,\u0661", "\u0661")])
+def test_schubert_codims_take_only_plain_integers(codims, field, capsys):
+    assert main(["schubert", "-n", "4", "-c", codims]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot parse codimensions {codims!r}: "
+        f"invalid literal for int() with base 10: {field!r}\n"
+    )
+
+
+def test_negative_integers_still_reach_the_range_checks(capsys):
+    assert main(["schubert", "-n", "4", "-c=-1,1"]) == 1
+    assert capsys.readouterr().err == "error: codimension -1 outside [0, 3]\n"
+    assert main(["degree", "4:-1,2,2,2,2"]) == 2
+    assert capsys.readouterr().err.endswith(": subspace dimension -1 outside [0, 3]\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["enumerate", "-n", "21"],

@@ -11,7 +11,6 @@ from incidence_scrolls.degeneration import (
     join,
     separate,
     speciality,
-    split_base,
     verified_invariants,
 )
 
@@ -21,7 +20,8 @@ def B(n, *dims):
 
 
 def test_join_elliptic_quintic():
-    split = join(B(4, 2, 2, 2, 2, 2), 0, 1, genus=1)
+    split = join(B(4, 2, 2, 2, 2, 2), 0, 1)
+    assert split.g1 + split.g2 + split.kappa - 1 == 1
     assert split.m == 1
     assert normalize(split.beta_dot) == B(4, 1, 2, 2, 2)
     assert normalize(split.beta_ddot) == B(3, 1, 1, 1)
@@ -36,7 +36,8 @@ def test_join_common_generator_count():
 
 
 def test_join_with_empty_meet_gives_plane():
-    split = join(B(4, 1, 2, 2, 2), 0, 1, genus=0)
+    split = join(B(4, 1, 2, 2, 2), 0, 1)
+    assert split.g1 + split.g2 + split.kappa - 1 == 0
     assert split.m == 0
     assert (split.d1, split.g1) == (1, 0)
     assert normalize(split.beta_ddot) == B(3, 1, 1, 1)
@@ -55,8 +56,8 @@ def test_empty_meet_always_shares_one_generator():
     for b in [B(4, 1, 2, 2, 2), B(5, 2, 2, 2, 3), B(6, 2, 3, 3, 3), B(5, 2, 2, 3, 3, 3)]:
         for i, j in itertools.combinations(range(b.r), 2):
             if b.dims[i] + b.dims[j] == b.ambient - 1:
-                m, _, _, kappa = split_base(b, i, j)
-                assert m == 0 and kappa == 1
+                split = join(b, i, j)
+                assert split.m == 0 and split.kappa == 1
 
 
 def test_residual_directrix_degrees_drop_by_one():
@@ -64,9 +65,9 @@ def test_residual_directrix_degrees_drop_by_one():
     from incidence_scrolls.base import directrix_degree
 
     b = B(6, 2, 3, 3, 3)
-    m, _, bddot, _ = split_base(b, 0, 1)
-    assert m == 0
-    residual = normalize(bddot)
+    split = join(b, 0, 1)
+    assert split.m == 0
+    residual = normalize(split.beta_ddot)
     assert residual == B(5, 2, 2, 2, 3)
     # the two untouched P^3's of b shrink to the P^2's carrying index 1, 2
     assert directrix_degree(b, 2) == 3
@@ -87,9 +88,9 @@ def test_separate_roundtrip():
     assert out == B(5, 2, 2, 2, 3)
     assert degree(out) == degree(b) + 1
     assert genus_by_degeneration(out) == genus_by_degeneration(b)
-    m, _, bddot, kappa = split_base(out, 0, 1)  # the separated (2, 2) pair
-    assert (m, kappa) == (0, 1)
-    assert normalize(bddot) == b
+    split = join(out, 0, 1)  # the separated (2, 2) pair
+    assert (split.m, split.kappa) == (0, 1)
+    assert normalize(split.beta_ddot) == b
 
 
 def test_separate_requires_point_meeting_pair():
