@@ -292,16 +292,3 @@ class ScrollInvariants:
     decomposable: bool
     speciality: int
     bundle: RuledSurfaceModel | None
-
-
-def _core_invariants(n: int, dims: tuple[int, ...]) -> tuple[int, int, int, int, bool]:
-    """(degree, min directrix degree, e, deg(b), decomposable): the
-    genus-independent Schubert data of a trusted base."""
-    d = _degree(n, dims)
-    min_dir = _min_directrix_degree(n, dims)
-    e = d - 2 * min_dir
-    m = (d + e) // 2
-    # in general position the two smallest spaces are disjoint exactly when
-    # their dimension sum is n - 1; nondegeneracy rules out anything smaller
-    decomposable = len(dims) < 2 or dims[0] + dims[1] == n - 1
-    return d, min_dir, e, m, decomposable

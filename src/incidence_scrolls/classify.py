@@ -9,9 +9,10 @@ theorems against the enumeration and reports anything out of place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .base import IncidenceBase, ScrollInvariants, _bundle_dict
-from .degeneration import verified_invariants
+from .base import IncidenceBase, ScrollInvariants, _bundle_dict, require_valid
+from .degeneration import _genus, _scroll_invariants
 from .ruled import (
     incidence_clause,
     is_incidence,
@@ -19,11 +20,17 @@ from .ruled import (
     predicted_base,
     very_ample,
 )
-from .schubert import intersection_number, oracle_intersection_number
+from .schubert import _k_degree_genus, _k_step, oracle_intersection_number
 
 # the largest ambient dimension enumerate, table and audit accept: the number
 # of candidate bases, and the time, grow about 1.6x per step in n
 MAX_ENUMERATION_N = 20
+
+
+def _check_n(n: int) -> None:
+    if n < 3:
+        raise ValueError("enumeration starts at ambient dimension 3")
+    _check_max_n(n)
 
 
 def _check_max_n(n: int) -> None:
@@ -33,43 +40,74 @@ def _check_max_n(n: int) -> None:
         )
 
 
-def base_candidates(n: int) -> list[IncidenceBase]:
-    """All dimension multisets in P^n passing validation, in lexicographic
-    order.
+def _walk(n: int, state, step, leaf) -> list:
+    """[leaf(dims, state)] for every valid base in P^n, once each and in no
+    useful order; dims is sorted, and state is that of every pick but the
+    last, the largest codimension n - 1 - dims[0].
 
-    A depth-first walk picks dims in ascending order: each pick is at most
-    n - 2 (no hyperplane) and leaves a codimension budget the remaining picks
-    can spend exactly (the curve condition), and the second pick makes a
-    nondegenerate pair with the first.  Every pick spends at least one
-    codimension, so no base is a prefix of another and the preorder is the
-    lexicographic order of dims.  Ascending dims are descending
-    codimensions, the order in which the Schubert kernel multiplies its
-    factors.
+    A depth-first walk picks codimensions in ascending order, each at least
+    1 (no hyperplane).  Every pick but the last is at most (n - 1) // 2, the
+    bound on the second largest codimension of a nondegenerate base, and
+    leaves a budget no smaller than itself; the last pick spends the rest of
+    the 2n - 3 (the curve condition) and makes a nondegenerate pair with the
+    one before it.  A pick of codimension c at running codimension t turns
+    the state of its prefix into step(state, t, c), so a product over the
+    codimensions is shared by every base below a prefix.  Ascending order
+    puts the long runs of small codimensions, which many bases share, at the
+    root: for n = 3..16 the walk takes 10,775 steps, where picking in
+    descending order takes 33,580.
     """
-    if n < 3:
-        raise ValueError("enumeration starts at ambient dimension 3")
-    _check_max_n(n)
     out = []
 
-    def walk(dims: tuple[int, ...], lo: int, budget: int) -> None:
-        if budget == 0:
-            out.append(IncidenceBase(n, dims))
-            return
-        for d in range(max(lo, n - 1 - budget), n - 1):
-            walk(dims + (d,), d if dims else max(d, n - 1 - d), budget - (n - 1 - d))
+    def walk(codims: tuple[int, ...], lo: int, budget: int, state) -> None:
+        t = 2 * n - 3 - budget
+        for c in range(lo, min((n - 1) // 2, budget // 2) + 1):
+            walk(codims + (c,), c, budget - c, step(state, t, c))
+        if codims and lo <= budget <= n - 1 - codims[-1]:
+            out.append(leaf(tuple(n - 1 - c for c in (budget, *reversed(codims))), state))
 
-    walk((), 0, 2 * n - 3)
+    walk((), 1, 2 * n - 3, state)
     return out
+
+
+def base_candidates(n: int) -> list[IncidenceBase]:
+    """All dimension multisets in P^n passing validation, in lexicographic
+    order."""
+    _check_n(n)
+    found = _walk(n, None, lambda state, t, c: None, lambda dims, state: dims)
+    return [IncidenceBase(n, dims) for dims in sorted(found)]
+
+
+@lru_cache(maxsize=None)
+def _degree_genus_rows(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """(dims, degree, genus) of every valid base in P^n, in lexicographic
+    order: the walk carries the K-theoretic class of each prefix, and a
+    base's own last factor is read off, not multiplied."""
+    rows = _walk(
+        n,
+        ([1], [0]),
+        lambda state, t, c: _k_step(*state, t, n, c),
+        lambda dims, state: (dims, *_k_degree_genus(n, *state, n - 1 - dims[0])),
+    )
+    rows.sort()
+    return tuple(rows)
 
 
 def enumerate_bases(n: int) -> list[tuple[IncidenceBase, ScrollInvariants]]:
     """Every valid base in P^n paired with its measured invariants.
 
-    The genus is computed by the degeneration recursion, so bases whose
-    scrolls are special are reported with their true genus and a nonzero
-    speciality instead of failing.
+    The genus comes from the K-theoretic Pieri pass, which assumes no
+    nonspeciality, so bases whose scrolls are special are reported with
+    their true genus and a nonzero speciality instead of failing.  Each base
+    passes the same validation as a base from outside.
     """
-    return [(b, verified_invariants(b)) for b in base_candidates(n)]
+    _check_n(n)
+    out = []
+    for dims, d, g in _degree_genus_rows(n):
+        b = IncidenceBase(n, dims)
+        require_valid(b)
+        out.append((b, _scroll_invariants(b, d, g)))
+    return out
 
 
 def _enumerated(max_n: int):
@@ -176,9 +214,10 @@ class AuditReport:
     The violation lists cover the classified range (genus <= 1): theorem
     clause membership, predicted bases, uniqueness of (d, g, n, e), no
     indecomposable e = 0 elliptic base, and the oracle's recount of the
-    minimum directrix degree.  Bases whose scrolls fail the nonspecial genus
-    formula are listed separately; they are a property of the geometry, not
-    a classification violation.
+    minimum directrix degree.  Every base also has its degree recounted by
+    the oracle and its genus recounted by the degeneration recursion.  Bases
+    whose scrolls fail the nonspecial genus formula are listed separately;
+    they are a property of the geometry, not a classification violation.
     """
 
     max_n: int
@@ -191,6 +230,7 @@ class AuditReport:
     indecomposable_e0: list = field(default_factory=list)
     oracle_mismatches: list = field(default_factory=list)
     directrix_oracle_mismatches: list = field(default_factory=list)
+    genus_check_mismatches: list = field(default_factory=list)
     speciality_exceptions: list = field(default_factory=list)
 
     @property
@@ -202,6 +242,7 @@ class AuditReport:
             + self.indecomposable_e0
             + self.oracle_mismatches
             + self.directrix_oracle_mismatches
+            + self.genus_check_mismatches
         )
 
     def render(self) -> str:
@@ -226,15 +267,20 @@ class AuditReport:
 
 def audit(max_n: int = 8) -> AuditReport:
     """Check every enumerated base with genus <= 1 against the classification
-    and cross-validate degrees and genus formulas for all of them."""
+    and recount the degree and the genus of all of them by independent
+    routes."""
     report = AuditReport(max_n=max_n)
     seen_keys: dict[tuple[int, int, int, int], IncidenceBase] = {}
     for b, inv in _enumerated(max_n):
         report.bases_checked += 1
         n, codims = b.ambient, b.codims()
-        deg_codims = codims + (1,)
-        if intersection_number(n, deg_codims) != oracle_intersection_number(n, deg_codims):
+        if inv.degree != oracle_intersection_number(n, codims + (1,)):
             report.oracle_mismatches.append(f"{b}: Pieri and bialternant degrees differ")
+        check = _genus(n, b.dims)
+        if inv.genus != check:
+            report.genus_check_mismatches.append(
+                f"{b}: K-theoretic genus {inv.genus}, degeneration gives {check}"
+            )
         if inv.speciality != 0:
             report.speciality_exceptions.append(
                 f"{b}: degree={inv.degree} genus={inv.genus} "

@@ -9,9 +9,9 @@ failure: FILE:LINE: ..."), stdout keeps every good record in order (under
 invariants --json, as one list), and the command exits with the worst exit
 code seen on any line.
 
-Exit codes: 0 success, 1 invalid or unrealizable base (or a degeneration
-recursion too deep for the interpreter), 2 parse error, 3 internal
-consistency failure.
+Exit codes: 0 success, 1 invalid or unrealizable base (or, for genus, a
+degeneration recursion too deep for the interpreter), 2 parse error, 3
+internal consistency failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .base import (
     SpecialityError,
     UnrealizableBaseError,
     _bundle_dict,
-    _degree,
     degree,
     formula_genus,
     normalize,
@@ -39,6 +38,7 @@ from .base import (
 from .classify import audit, build_tables, enumerate_bases, render_table, row_to_dict
 from .degeneration import (
     _genus,
+    _measure,
     _speciality,
     join,
     separate,
@@ -67,6 +67,15 @@ def _parse_int(field: str) -> int:
     if not (field.isascii() and field.removeprefix("-").isdigit()):
         raise ValueError(f"invalid literal for int() with base 10: {field!r}")
     return int(field)
+
+
+def _int_option(text: str) -> int:
+    """The type of every integer option: _parse_int, with argparse's own
+    "invalid int value" message."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def parse_base(text: str) -> IncidenceBase:
@@ -179,8 +188,12 @@ def cmd_degree(args) -> int:
 def cmd_genus(args) -> int:
     def one(b):
         require_valid(b)
-        g = _genus(b.ambient, b.dims)
-        d = _degree(b.ambient, b.dims)
+        d, g = _measure(b.ambient, b.dims)
+        check = _genus(b.ambient, b.dims)
+        if check != g:
+            raise InternalConsistencyError(
+                f"{b}: K-theoretic genus {g}, degeneration gives {check}"
+            )
         try:
             formula = str(formula_genus(b, deg=d))
         except SpecialityError:
@@ -246,9 +259,9 @@ def cmd_separate(args) -> int:
     b = parse_base(args.base)
     out = separate(b, args.i, args.j, add_hyperplane=args.add_hyperplane)
     require_valid(out)
-    d, d_out = _degree(b.ambient, b.dims), _degree(out.ambient, out.dims)
+    (d, _), (d_out, g_out) = _measure(b.ambient, b.dims), _measure(out.ambient, out.dims)
     print(f"{b} separates to {out}")
-    print(f"  degree {d} -> {d_out}, genus {_genus(out.ambient, out.dims)}")
+    print(f"  degree {d} -> {d_out}, genus {g_out}")
     return 0
 
 
@@ -357,44 +370,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("join", help="split the scroll by joining two base spaces")
     p.add_argument("base")
-    p.add_argument("-i", type=int, required=True, help="index into the sorted dims")
-    p.add_argument("-j", type=int, required=True)
+    p.add_argument("-i", type=_int_option, required=True, help="index into the sorted dims")
+    p.add_argument("-j", type=_int_option, required=True)
     p.set_defaults(func=cmd_join)
 
     p = sub.add_parser("separate", help="pull two spaces meeting in a point apart")
     p.add_argument("base")
-    p.add_argument("-i", type=int, required=True)
-    p.add_argument("-j", type=int, default=None)
+    p.add_argument("-i", type=_int_option, required=True)
+    p.add_argument("-j", type=_int_option, default=None)
     p.add_argument("--add-hyperplane", action="store_true")
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("schubert", help="intersection number of special classes")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_option, required=True)
     p.add_argument("-c", dest="codims", required=True, help="comma-separated codimensions")
     p.set_defaults(func=cmd_schubert)
 
     p = sub.add_parser("surface", help="predicates for a ruled-surface model")
-    p.add_argument("-g", type=int, required=True, choices=(0, 1))
-    p.add_argument("-e", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-g", type=_int_option, required=True, choices=(0, 1))
+    p.add_argument("-e", type=_int_option, required=True)
+    p.add_argument("-m", type=_int_option, required=True)
     p.add_argument("--e-trivial", dest="e_trivial", action="store_true")
     p.add_argument("--indecomposable", action="store_true")
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("enumerate", help="all bases in one ambient dimension")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_option, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("table", help="classification table for genus 0 or 1")
-    p.add_argument("--genus", type=int, required=True, choices=(0, 1))
-    p.add_argument("--max-n", dest="max_n", type=int, default=8)
+    p.add_argument("--genus", type=_int_option, required=True, choices=(0, 1))
+    p.add_argument("--max-n", dest="max_n", type=_int_option, default=8)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("audit", help="replay the classification over the enumeration")
-    p.add_argument("--max-n", dest="max_n", type=int, default=8)
+    p.add_argument("--max-n", dest="max_n", type=_int_option, default=8)
     p.set_defaults(func=cmd_audit)
 
     return parser

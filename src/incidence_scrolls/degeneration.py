@@ -4,8 +4,14 @@ Sliding two base spaces P^(n_i), P^(n_j) into a common hyperplane forces
 them to meet in a P^m, m = n_i + n_j - n + 1, and the scroll breaks into the
 lines through that P^m (still in P^n) and the lines inside the hyperplane.
 Degrees add, and the genus satisfies g = g1 + g2 + kappa - 1 where kappa is
-the number of generators the two components share.  Running the split
-recursively computes the genus without any nonspeciality assumption.
+the number of generators the two components share.
+
+The degree and the genus of a scroll come from one K-theoretic Pieri pass,
+schubert._degree_genus.  Running the split recursively computes the genus a
+second way, without any nonspeciality assumption: that recursion, _genus, is
+the independent check of the K-theoretic genus.  The audit and the genus
+command compare the two routes on every base, and join checks one level of
+the recursion on every call.
 """
 
 from __future__ import annotations
@@ -17,13 +23,12 @@ from .base import (
     IncidenceBase,
     InternalConsistencyError,
     ScrollInvariants,
-    _core_invariants,
-    _degree,
+    _min_directrix_degree,
     _normalize,
     require_valid,
 )
 from .ruled import model_for
-from .schubert import intersection_number
+from .schubert import _degree_genus, intersection_number
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,11 @@ class DegenerationSplit:
     g1: int
     d2: int
     g2: int
+
+
+def _measure(n: int, dims: tuple[int, ...]) -> tuple[int, int]:
+    """(degree, genus) of a trusted base, by the K-theoretic Pieri pass."""
+    return _degree_genus(n, tuple(n - 1 - d for d in dims))
 
 
 def _split_parts(
@@ -78,25 +88,26 @@ def join(b: IncidenceBase, i: int, j: int) -> DegenerationSplit:
     P^m that still meet every reduced space, an intersection number in
     G(1, n-1) of automatically full codimension.  When m = 0 the first
     component is a plane, (d1, g1) = (1, 0); otherwise both components are
-    normalized and measured recursively.  The degree bookkeeping
-    d = d1 + d2 is checked against independent Schubert computations.
+    normalized and measured by the K-theoretic pass.  The bookkeeping
+    d = d1 + d2 and g = g1 + g2 + kappa - 1 is checked against the
+    K-theoretic degree and genus of b itself.
     """
     require_valid(b)
-    m, dot, ddot, kappa = _split_parts(b.ambient, b.dims, i, j)
-    beta_dot, beta_ddot = IncidenceBase(b.ambient, dot), IncidenceBase(b.ambient - 1, ddot)
-    d = _degree(b.ambient, b.dims)
+    n = b.ambient
+    m, dot, ddot, kappa = _split_parts(n, b.dims, i, j)
+    beta_dot, beta_ddot = IncidenceBase(n, dot), IncidenceBase(n - 1, ddot)
+    d, g = _measure(n, b.dims)
     # normalization keeps the curve condition and removes hyperplanes and
     # degenerate pairs, so both components are valid bases
-    if m == 0:
-        d1, g1 = 1, 0
-    else:
-        comp = _normalize(beta_dot.ambient, beta_dot.dims)
-        d1, g1 = _degree(*comp), _genus(*comp)
-    comp2 = _normalize(beta_ddot.ambient, beta_ddot.dims)
-    d2, g2 = _degree(*comp2), _genus(*comp2)
+    d1, g1 = (1, 0) if m == 0 else _measure(*_normalize(n, dot))
+    d2, g2 = _measure(*_normalize(n - 1, ddot))
     if d1 + d2 != d:
         raise InternalConsistencyError(
             f"{b}: join degrees {d1} + {d2} != {d} for pair ({i}, {j})"
+        )
+    if g1 + g2 + kappa - 1 != g:
+        raise InternalConsistencyError(
+            f"{b}: join genera {g1} + {g2} + {kappa} - 1 != {g} for pair ({i}, {j})"
         )
     return DegenerationSplit(m, beta_dot, beta_ddot, kappa, d1, g1, d2, g2)
 
@@ -143,10 +154,11 @@ def separate(
 
 
 def genus_by_degeneration(b: IncidenceBase) -> int:
-    """Genus of the swept scroll via the splitting recursion.
+    """Genus of the swept scroll via the splitting recursion, the check of
+    the K-theoretic genus.
 
-    Independent of the ambient-dimension genus formula: scrolls of degree
-    <= 2 are rational, and otherwise the first two base spaces are joined
+    Independent of the ambient-dimension genus formula: the quadric of
+    3:1,1,1 is rational, and otherwise the first two base spaces are joined
     and both components are measured recursively.  The value does not
     depend on the choice of pair (exercised in the tests).
     """
@@ -156,7 +168,10 @@ def genus_by_degeneration(b: IncidenceBase) -> int:
 
 @lru_cache(maxsize=None)
 def _genus(n: int, dims: tuple[int, ...]) -> int:
-    if _degree(n, dims) <= 2:
+    # a valid base in P^n, n >= 4, sweeps a scroll that spans P^n, of degree
+    # at least n - 1 >= 3; the only valid bases below are 3:1,1,1, a
+    # quadric, and 2:0, a plane
+    if n <= 3:
         return 0
     m, dot, ddot, kappa = _split_parts(n, dims, 0, 1)
     g1 = 0 if m == 0 else _genus(*_normalize(n, dot))
@@ -174,24 +189,34 @@ def _speciality(b: IncidenceBase, d: int, g: int) -> int:
 
 
 def speciality(b: IncidenceBase) -> int:
-    """The correction i in ambient = degree - 2 genus + 1 + i, with the genus
-    taken from the degeneration recursion; zero for nonspecial linearly
-    normal scrolls."""
+    """The correction i in ambient = degree - 2 genus + 1 + i; zero for
+    nonspecial linearly normal scrolls."""
     require_valid(b)
-    return _speciality(b, _degree(b.ambient, b.dims), _genus(b.ambient, b.dims))
+    return _speciality(b, *_measure(b.ambient, b.dims))
 
 
 def verified_invariants(b: IncidenceBase) -> ScrollInvariants:
-    """Scroll invariants with the genus from the degeneration recursion.
+    """Scroll invariants with the degree and genus from the K-theoretic pass.
 
-    This is the only route to ScrollInvariants, and it never assumes the
-    nonspecial genus formula: the speciality field records exactly how far
-    the base is from the nonspecial picture, and a genus <= 1 base is
+    This is the route to ScrollInvariants for one base, and it never assumes
+    the nonspecial genus formula: the speciality field records exactly how
+    far the base is from the nonspecial picture, and a genus <= 1 base is
     required to be nonspecial.
     """
     require_valid(b)
-    d, min_dir, e, m, decomposable = _core_invariants(b.ambient, b.dims)
-    g = _genus(b.ambient, b.dims)
+    return _scroll_invariants(b, *_measure(b.ambient, b.dims))
+
+
+def _scroll_invariants(b: IncidenceBase, d: int, g: int) -> ScrollInvariants:
+    """The invariants of a trusted base whose scroll has degree d and genus g;
+    the enumeration reads (d, g) off its walk and comes in here."""
+    n, dims = b.ambient, b.dims
+    min_dir = _min_directrix_degree(n, dims)
+    e = d - 2 * min_dir
+    m = (d + e) // 2
+    # in general position the two smallest spaces are disjoint exactly when
+    # their dimension sum is n - 1; nondegeneracy rules out anything smaller
+    decomposable = len(dims) < 2 or dims[0] + dims[1] == n - 1
     i = _speciality(b, d, g)
     if g <= 1 and i != 0:
         raise InternalConsistencyError(
@@ -200,7 +225,7 @@ def verified_invariants(b: IncidenceBase) -> ScrollInvariants:
     return ScrollInvariants(
         degree=d,
         genus=g,
-        ambient=b.ambient,
+        ambient=n,
         e=e,
         divisor_degree=m,
         min_directrix_degree=min_dir,

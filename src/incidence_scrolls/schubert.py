@@ -7,7 +7,8 @@ subspace of codimension c + 1.  The module has one kernel and one check:
 intersection_number expands products of special classes with the Pieri
 rule, and oracle_intersection_number evaluates the same top-degree product
 by an independent bialternant computation in Z[x, y] that shares no code
-with it.
+with it.  _degree_genus runs the same kernel in K-theory and reads both the
+degree and the arithmetic genus of a base's curve off one pass.
 
 The Pieri kernel, _pieri_step, keeps a class of pure codimension t as a
 flat list of integers, vec[b] being the coefficient of sigma_(t-b, b) for
@@ -52,6 +53,44 @@ def _pieri_step(vec: list, t: int, n: int, c: int) -> list:
     return out
 
 
+def _k_step(v0: list, v1: list, t: int, n: int, c: int) -> tuple[list, list]:
+    """Multiply the K-class (v0, v1) by O_c, the structure sheaf of sigma_c.
+
+    v0 holds the terms of codimension t, as in _pieri_step, and v1 those of
+    codimension t + 1.  By Lenart's K-Pieri rule O_(t-b, b) * O_c is the sum
+    of the horizontal strips of size c minus those of size c + 1 that grow
+    both rows.  So the new v1 at b2 is the Pieri window sum of v1 over
+    max(0, b2 - c) <= b <= min(b2, t + 1 - b2) less the sum of v0 over the
+    same window without its top end; terms two or more above the running
+    codimension can never reach the top class and are dropped.
+    """
+    p0 = [0, *accumulate(v0)]
+    p1 = [0, *accumulate(v1)]
+    u, u2 = t + 1, t + 1 + c
+    first = u2 - (n - 1) if u2 > n - 1 else 0
+    w1 = [0] * first
+    for b2 in range(first, u2 // 2 + 1):
+        hi = b2 if b2 < u - b2 else u - b2
+        lo = b2 - c if b2 > c else 0
+        w1.append(p1[hi + 1] - p1[lo] - p0[hi] + p0[lo] if hi >= lo else 0)
+    return _pieri_step(v0, t, n, c), w1
+
+
+def _k_degree_genus(n: int, v0: list, v1: list, c: int) -> tuple[int, int]:
+    """(d, g) of the curve whose K-class is (v0, v1) times O_c, for (v0, v1)
+    at t = 2n - 3 - c.
+
+    The product is [O_C] = d O_line + x O_pt, and every Schubert structure
+    sheaf has Euler characteristic 1 (Brion), so the arithmetic genus is
+    1 - chi(O_C) = 1 - d - x.  The last factor is read off, not multiplied:
+    the strips of size c onto the line class sigma_(n-1, n-2) start at b =
+    n - 2 - c and n - 1 - c, the one onto the point at b = n - 1 - c, and no
+    strip of size c + 1 reaches the point growing both rows.
+    """
+    d = v0[n - 1 - c] + (v0[n - 2 - c] if c < n - 1 else 0)
+    return d, 1 - d - v1[n - 1 - c]
+
+
 def _check_codims(n: int, codims: Sequence[int]) -> None:
     if n < 2:
         raise ValueError("ambient projective dimension must be >= 2")
@@ -86,6 +125,20 @@ def _intersection_number(n: int, codims: tuple[int, ...]) -> int:
             vec = _pieri_step(vec, t, n, c)
             t += c
     return vec[n - 1]
+
+
+@lru_cache(maxsize=None)
+def _degree_genus(n: int, codims: tuple[int, ...]) -> tuple[int, int]:
+    """(degree, genus) of the scroll of a trusted base with these
+    codimensions, all positive: the genus of a scroll is that of its curve
+    of lines.  The value does not depend on the order of codims; the memo
+    key does."""
+    _check_codims(n, (*codims, 1))
+    v0, v1, t = [1], [0], 0
+    for c in codims[:-1]:
+        v0, v1 = _k_step(v0, v1, t, n, c)
+        t += c
+    return _k_degree_genus(n, v0, v1, codims[-1])
 
 
 def _convolve(p: list, q: list) -> list:

@@ -88,3 +88,17 @@ def test_cold_enumeration_validates_each_base_once(monkeypatch):
     assert calls == bases
     entries = schubert._intersection_number.cache_info().currsize
     assert entries <= KERNEL_ENTRIES_UP_TO_10
+
+
+def test_cold_enumeration_runs_no_recursion_and_no_per_base_k_pass():
+    # the walk carries the K-theoretic class down its prefixes, so neither
+    # the genus check nor a per-base (degree, genus) product runs
+    clear_package_caches()
+    bases = [b for n in range(3, 11) for b, _ in classify.enumerate_bases(n)]
+    assert len(bases) == 281
+    for memo in (degeneration._genus, schubert._degree_genus, base._degree):
+        assert memo.cache_info()[:2] == (0, 0), memo
+    # one base from outside takes one K pass and no separate degree product
+    verified_invariants(parse("9:4,4,5,6,7,7"))
+    assert schubert._degree_genus.cache_info()[:2] == (0, 1)
+    assert base._degree.cache_info()[:2] == (0, 0)

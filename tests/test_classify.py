@@ -152,6 +152,7 @@ def test_audit_classified_range_is_clean():
     assert report.indecomposable_e0 == []
     assert report.oracle_mismatches == []
     assert report.directrix_oracle_mismatches == []
+    assert report.genus_check_mismatches == []
 
 
 def test_audit_rejects_empty_range():
@@ -170,7 +171,7 @@ def test_lower_bound_messages():
 def test_enumeration_limit_fails_before_any_work(entry, monkeypatch):
     # n = MAX_ENUMERATION_N itself is accepted; the gate runs before any base
     calls = []
-    monkeypatch.setattr(classify, "verified_invariants", lambda b: calls.append(b))
+    monkeypatch.setattr(classify, "_scroll_invariants", lambda b, d, g: calls.append(b))
     monkeypatch.setattr(classify, "IncidenceBase", lambda n, dims: calls.append((n, dims)))
     limit = classify.MAX_ENUMERATION_N
     message = f"limited to ambient dimension {limit}, got {limit + 1}$"
@@ -183,22 +184,42 @@ def test_enumeration_limit_fails_before_any_work(entry, monkeypatch):
 
 def test_audit_recounts_min_directrix_degree_by_oracle(monkeypatch):
     # a wrong minimum directrix degree on one classified row is a violation
-    real = classify.verified_invariants
+    real = classify._scroll_invariants
     bad = IncidenceBase(4, (1, 2, 2, 2))
 
-    def skewed(b):
-        inv = real(b)
+    def skewed(b, d, g):
+        inv = real(b, d, g)
         if b == bad:
             return dataclasses.replace(inv, min_directrix_degree=inv.min_directrix_degree + 1)
         return inv
 
-    monkeypatch.setattr(classify, "verified_invariants", skewed)
+    monkeypatch.setattr(classify, "_scroll_invariants", skewed)
     report = audit(4)
     assert report.directrix_oracle_mismatches == [
         "4:1,2,2,2: minimum directrix degree 2, bialternant gives 1"
     ]
     assert report.violations == report.directrix_oracle_mismatches
     assert "    VIOLATION 4:1,2,2,2: minimum directrix degree 2" in report.render()
+
+
+def test_audit_recounts_genus_by_degeneration(monkeypatch):
+    # a wrong K-theoretic genus on one base, here one above the classified
+    # range, is a violation of its own
+    real = classify._scroll_invariants
+    bad = IncidenceBase(5, (3, 3, 3, 3, 3, 3, 3))
+
+    def skewed(b, d, g):
+        inv = real(b, d, g)
+        return dataclasses.replace(inv, genus=inv.genus + 1) if b == bad else inv
+
+    monkeypatch.setattr(classify, "_scroll_invariants", skewed)
+    report = audit(5)
+    assert report.genus_check_mismatches == [
+        "5:3,3,3,3,3,3,3: K-theoretic genus 9, degeneration gives 8"
+    ]
+    assert report.violations == report.genus_check_mismatches
+    assert "    VIOLATION 5:3,3,3,3,3,3,3: K-theoretic genus 9" in report.render()
+    assert audit(4).violations == []
 
 
 def test_audit_reports_special_scrolls_honestly():

@@ -79,6 +79,40 @@ def test_schubert_codims_take_only_plain_integers(codims, field, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["enumerate", "-n", "+3"], "+3"),
+        (["enumerate", "-n", "\u0663"], "\u0663"),
+        (["table", "--genus", "+0", "--max-n", "3"], "+0"),
+        (["table", "--genus", "0", "--max-n", " 3"], " 3"),
+        (["audit", "--max-n", "3_0"], "3_0"),
+        (["join", "4:2,2,2,2,2", "-i", "\u0660", "-j", "1"], "\u0660"),
+        (["separate", "3:1,1,1", "-i", "+0", "--add-hyperplane"], "+0"),
+        (["separate", "4:2,2,2,2,2", "-i", "0", "-j", "+1"], "+1"),
+        (["schubert", "-n", "+4", "-c", "1,1,1,1,1,1"], "+4"),
+        (["surface", "-g", "+0", "-e", "2", "-m", "4"], "+0"),
+        (["surface", "-g", "0", "-e", "+2", "-m", "4"], "+2"),
+        (["surface", "-g", "0", "-e", "2", "-m", "4 "], "4 "),
+    ],
+)
+def test_integer_options_take_only_plain_integers(argv, field, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": invalid int value: {field!r}\n")
+
+
+def test_integer_option_error_is_argparse_own(capsys):
+    assert main(["enumerate", "-n", "x"]) == 2
+    assert capsys.readouterr().err == (
+        "usage: incidence-scrolls enumerate [-h] -n N [--json]\n"
+        "incidence-scrolls enumerate: error: argument -n: invalid int value: 'x'\n"
+    )
+    assert main(["surface", "-g", "-1", "-e", "0", "-m", "1"]) == 2
+    assert "argument -g: invalid choice: -1 (choose from 0, 1)" in capsys.readouterr().err
+
+
 def test_negative_integers_still_reach_the_range_checks(capsys):
     assert main(["schubert", "-n", "4", "-c=-1,1"]) == 1
     assert capsys.readouterr().err == "error: codimension -1 outside [0, 3]\n"
@@ -179,14 +213,14 @@ def test_enumerate_json_golden(capsys):
 
 def test_enumerate_measures_each_base_once(monkeypatch, capsys):
     calls = []
-    real = classify.verified_invariants
+    real = classify._scroll_invariants
 
-    def counting(b):
+    def counting(b, d, g):
         calls.append(b)
-        return real(b)
+        return real(b, d, g)
 
-    monkeypatch.setattr(classify, "verified_invariants", counting)
-    monkeypatch.setattr(cli, "verified_invariants", counting)
+    monkeypatch.setattr(classify, "_scroll_invariants", counting)
+    monkeypatch.setattr(cli, "verified_invariants", lambda b: calls.append(("again", b)))
     assert main(["enumerate", "-n", "6"]) == 0
     assert calls == classify.base_candidates(6)
 
@@ -340,14 +374,7 @@ def _too_deep(n, dims):
     raise RecursionError("maximum recursion depth exceeded")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["genus", "5:2,3,3,3,3,3"],
-        ["invariants", "5:2,3,3,3,3,3", "--json"],
-        ["join", "4:2,2,2,2,2", "-i", "0", "-j", "1"],
-    ],
-)
+@pytest.mark.parametrize("argv", [["genus", "5:2,3,3,3,3,3"]])
 def test_deep_recursion_is_an_error_not_a_traceback(argv, monkeypatch, capsys):
     monkeypatch.setattr(degeneration, "_genus", _too_deep)
     monkeypatch.setattr(cli, "_genus", _too_deep)
@@ -355,6 +382,49 @@ def test_deep_recursion_is_an_error_not_a_traceback(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {argv[1]}: degeneration recursion too deep\n"
+
+
+CHAIN_600 = "600:1," + ",".join(["598"] * 599)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["invariants", CHAIN_600, "--json"], ["join", CHAIN_600, "-i", "0", "-j", "1"]],
+    ids=["invariants", "join"],
+)
+def test_chain_past_the_recursion_limit_answers(argv, capsys):
+    # the recursion stops near n = 495; the K-theoretic pass has no depth
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if argv[0] == "invariants":
+        rec = json.loads(captured.out)
+        assert (rec["degree"], rec["genus"]) == (599, 0)
+    else:
+        assert "degree 1 + 598 = 599, genus 0 + 0 + 1 - 1 = 0\n" in captured.out
+
+
+def test_genus_command_exits_3_when_the_routes_disagree(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_genus", lambda n, dims: 2)
+    assert main(["genus", "4:2,2,2,2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal consistency failure: 4:2,2,2,2,2: K-theoretic genus 1, "
+        "degeneration gives 2\n"
+    )
+
+
+def test_join_exits_3_when_the_genus_bookkeeping_fails(monkeypatch, capsys):
+    real = degeneration._measure
+    monkeypatch.setattr(
+        degeneration, "_measure", lambda n, dims: (5, 2) if len(dims) == 5 else real(n, dims)
+    )
+    assert main(["join", "4:2,2,2,2,2", "-i", "0", "-j", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "internal consistency failure: 4:2,2,2,2,2: join genera 0 + 0 + 2 - 1 != 2 "
+        "for pair (0, 1)\n"
+    )
 
 
 def test_deep_recursion_in_batch_names_the_line(tmp_path, monkeypatch, capsys):

@@ -2,8 +2,11 @@
 
 from hypothesis import example, given, settings, strategies as st
 
-from incidence_scrolls.base import IncidenceBase, normalize, validate
+from incidence_scrolls.base import IncidenceBase, _degree, normalize, validate
+from incidence_scrolls.degeneration import _genus
 from incidence_scrolls.schubert import (
+    _degree_genus,
+    _k_step,
     intersection_number,
     _pieri_step,
     oracle_intersection_number,
@@ -175,3 +178,68 @@ def test_normalize_idempotent_and_defect_preserving(b):
     assert reduced.condition_count() - (2 * reduced.ambient - 3) == defect
     report = validate(reduced)
     assert report.no_hyperplanes and report.nondegenerate
+
+
+def term_by_term_k_pieri(n: int, terms: dict, c: int, top: int) -> dict:
+    """Reference K-theoretic Pieri product of {(a, b): coeff} by O_c in
+    G(1, n) (Lenart): the strips of size c, minus the strips of size c + 1
+    that grow both rows, keeping the terms of codimension <= top."""
+    out = term_by_term_pieri(n, terms, c)
+    for (a, b), coeff in terms.items():
+        for a2 in range(a + 1, n):
+            b2 = a + b + c + 1 - a2
+            if b < b2 <= a:
+                out[(a2, b2)] = out.get((a2, b2), 0) - coeff
+    return {k: v for k, v in out.items() if v and sum(k) <= top}
+
+
+@st.composite
+def k_state(draw):
+    """(n, t, v0, v1, c): a K-class of codimensions t and t + 1 in G(1, n)
+    and the index of the structure sheaf it is multiplied by."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    t = draw(st.integers(min_value=0, max_value=2 * n - 3))
+    coeffs = st.integers(min_value=-(10**12), max_value=10**12)
+
+    def vec(u):
+        return [draw(coeffs) if u - b <= n - 1 else 0 for b in range(u // 2 + 1)]
+
+    return n, t, vec(t), vec(t + 1), draw(st.integers(min_value=1, max_value=n - 1))
+
+
+@given(k_state())
+@example((3, 1, [1], [0, 1], 1))
+@settings(max_examples=200, deadline=None)
+def test_k_step_matches_term_by_term(data):
+    n, t, v0, v1, c = data
+    w0, w1 = _k_step(v0, v1, t, n, c)
+    terms = {**as_terms(v0, t), **as_terms(v1, t + 1)}
+    assert {**as_terms(w0, t + c), **as_terms(w1, t + c + 1)} == term_by_term_k_pieri(
+        n, terms, c, t + c + 1
+    )
+
+
+@st.composite
+def valid_base_codims(draw):
+    """(n, codims) of a random valid base in P^n, n <= 25, codims in
+    descending order: they sum to 2n - 3, none exceeds n - 2 and the two
+    largest sum to at most n - 1."""
+    n = draw(st.integers(min_value=3, max_value=25))
+    codims = [draw(st.integers(min_value=1, max_value=n - 2))]
+    cap, left = min(codims[0], n - 1 - codims[0]), 2 * n - 3 - codims[0]
+    while left:
+        c = draw(st.integers(min_value=1, max_value=min(cap, left)))
+        codims.append(c)
+        cap, left = c, left - c
+    return n, tuple(codims)
+
+
+@given(valid_base_codims())
+@example((5, (2, 1, 1, 1, 1, 1)))  # 5:2,3,3,3,3,3, a special scroll
+@example((25, (23,) + (1,) * 24))  # the chain 25:1,23,...,23
+@settings(max_examples=100, deadline=None)
+def test_k_theoretic_degree_genus_equals_the_recursion(data):
+    n, codims = data
+    dims = tuple(sorted(n - 1 - c for c in codims))
+    assert validate(IncidenceBase(n, dims)).all_ok
+    assert _degree_genus(n, codims) == (_degree(n, dims), _genus(n, dims))

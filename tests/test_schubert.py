@@ -4,6 +4,7 @@ import pytest
 
 from incidence_scrolls.schubert import (
     DimensionMismatchError,
+    _degree_genus,
     _pieri_step,
     intersection_number,
     oracle_intersection_number,
@@ -89,3 +90,18 @@ def test_point_condition_duality():
 
 def test_zero_codimension_factors_are_identity():
     assert intersection_number(3, [1, 1, 1, 1, 0, 0]) == 2
+
+
+def test_k_pass_answers_the_chain_far_past_the_recursion():
+    # n:1,(n-2)x(n-1) sweeps a rational normal scroll of degree n - 1; the
+    # degeneration recursion on it stops near n = 495
+    n = 1200
+    assert _degree_genus(n, (n - 2,) + (1,) * (n - 1)) == (n - 1, 0)
+
+
+def test_k_pass_reads_elliptic_and_special_genera():
+    assert _degree_genus(4, (1, 1, 1, 1, 1)) == (5, 1)
+    assert _degree_genus(5, (2, 1, 1, 1, 1, 1)) == (9, 3)  # special, i = 1
+    assert _degree_genus(2, (1,)) == (1, 0)  # the lines of P^2 through a point
+    with pytest.raises(DimensionMismatchError):
+        _degree_genus(4, (1, 1, 1, 1))
