@@ -4,15 +4,19 @@ A base in P^n is a multiset of subspace dimensions n_1 <= ... <= n_r.  The
 lines meeting every base space sweep a scroll exactly when the spaces impose
 2n - 3 independent conditions on the Grassmannian of lines, one short of its
 dimension, so that the lines form a one-parameter family.
+
+degree and min_directrix_degree read the K-theoretic pass of
+schubert._degree_genus, which yields the degree, the genus and the minimum
+directrix degree of a base together; directrix_degree counts the directrix
+on any one base space with the Pieri kernel, intersection_number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .schubert import intersection_number
+from .schubert import _degree_genus, intersection_number
 
 if TYPE_CHECKING:
     from .ruled import RuledSurfaceModel
@@ -199,24 +203,12 @@ def _normalize(ambient: int, dims: tuple[int, ...]) -> tuple[int, tuple[int, ...
     return n, tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _degree(n: int, dims: tuple[int, ...]) -> int:
-    return intersection_number(n, tuple(n - 1 - d for d in dims) + (1,))
-
-
 def degree(b: IncidenceBase) -> int:
     """Degree of the swept scroll: the number of lines meeting every base
-    space and one generic subspace of codimension 2."""
+    space and one generic subspace of codimension 2, read off the
+    K-theoretic pass."""
     require_valid(b)
-    return _degree(b.ambient, b.dims)
-
-
-def _directrix_degree(n: int, dims: tuple[int, ...], k: int) -> int:
-    if dims[k] == 0:
-        return 0
-    codims = [n - 1 - d for i, d in enumerate(dims) if i != k]
-    codims.append(n - dims[k])
-    return intersection_number(n, codims)
+    return _degree_genus(b.ambient, b.dims)[0]
 
 
 def directrix_degree(b: IncidenceBase, k: int) -> int:
@@ -229,22 +221,19 @@ def directrix_degree(b: IncidenceBase, k: int) -> int:
     require_valid(b)
     if not 0 <= k < b.r:
         raise ValueError(f"base space index {k} out of range")
-    return _directrix_degree(b.ambient, b.dims, k)
-
-
-def _min_directrix_degree(n: int, dims: tuple[int, ...]) -> int:
-    # dims is sorted, so the first index of each distinct dimension suffices
-    return min(
-        _directrix_degree(n, dims, k)
-        for k, d in enumerate(dims)
-        if k == 0 or d != dims[k - 1]
-    )
+    n, dims = b.ambient, b.dims
+    if dims[k] == 0:
+        return 0
+    codims = [n - 1 - d for i, d in enumerate(dims) if i != k]
+    codims.append(n - dims[k])
+    return intersection_number(n, codims)
 
 
 def min_directrix_degree(b: IncidenceBase) -> int:
-    """Smallest directrix degree over the base spaces."""
+    """Smallest directrix degree over the base spaces, that of the smallest
+    one, read off the K-theoretic pass."""
     require_valid(b)
-    return _min_directrix_degree(b.ambient, b.dims)
+    return _degree_genus(b.ambient, b.dims)[2]
 
 
 def formula_genus(b: IncidenceBase, deg: int | None = None) -> int:

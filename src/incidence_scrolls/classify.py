@@ -20,7 +20,7 @@ from .ruled import (
     predicted_base,
     very_ample,
 )
-from .schubert import _k_degree_genus, _k_step, oracle_intersection_number
+from .schubert import _k_read_off, _k_step, oracle_intersection_number
 
 # the largest ambient dimension enumerate, table and audit accept: the number
 # of candidate bases, and the time, grow about 1.6x per step in n
@@ -40,55 +40,42 @@ def _check_max_n(n: int) -> None:
         )
 
 
-def _walk(n: int, state, step, leaf) -> list:
-    """[leaf(dims, state)] for every valid base in P^n, once each and in no
-    useful order; dims is sorted, and state is that of every pick but the
-    last, the largest codimension n - 1 - dims[0].
+def base_candidates(n: int) -> list[IncidenceBase]:
+    """All dimension multisets in P^n passing validation, in lexicographic
+    order."""
+    _check_n(n)
+    return [IncidenceBase(n, dims) for dims, *_ in _degree_genus_rows(n)]
+
+
+@lru_cache(maxsize=None)
+def _degree_genus_rows(n: int) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+    """(dims, degree, genus, minimum directrix degree) of every valid base in
+    P^n, in lexicographic order.
 
     A depth-first walk picks codimensions in ascending order, each at least
     1 (no hyperplane).  Every pick but the last is at most (n - 1) // 2, the
     bound on the second largest codimension of a nondegenerate base, and
     leaves a budget no smaller than itself; the last pick spends the rest of
     the 2n - 3 (the curve condition) and makes a nondegenerate pair with the
-    one before it.  A pick of codimension c at running codimension t turns
-    the state of its prefix into step(state, t, c), so a product over the
-    codimensions is shared by every base below a prefix.  Ascending order
-    puts the long runs of small codimensions, which many bases share, at the
-    root: for n = 3..16 the walk takes 10,775 steps, where picking in
-    descending order takes 33,580.
+    one before it.  The walk carries the K-theoretic class (v0, v1) of each
+    prefix, so a product over the codimensions is shared by every base below
+    it, and a base's own last factor, its largest codimension, is read off,
+    not multiplied.  Ascending order puts the long runs of small
+    codimensions, which many bases share, at the root: for n = 3..16 the
+    walk takes 10,775 K steps, where picking in descending order takes
+    33,580.
     """
-    out = []
+    rows = []
 
-    def walk(codims: tuple[int, ...], lo: int, budget: int, state) -> None:
+    def walk(codims: tuple[int, ...], lo: int, budget: int, v0: list, v1: list) -> None:
         t = 2 * n - 3 - budget
         for c in range(lo, min((n - 1) // 2, budget // 2) + 1):
-            walk(codims + (c,), c, budget - c, step(state, t, c))
+            walk(codims + (c,), c, budget - c, *_k_step(v0, v1, t, n, c))
         if codims and lo <= budget <= n - 1 - codims[-1]:
-            out.append(leaf(tuple(n - 1 - c for c in (budget, *reversed(codims))), state))
+            dims = tuple(n - 1 - c for c in (budget, *reversed(codims)))
+            rows.append((dims, *_k_read_off(n, v0, v1, budget)))
 
-    walk((), 1, 2 * n - 3, state)
-    return out
-
-
-def base_candidates(n: int) -> list[IncidenceBase]:
-    """All dimension multisets in P^n passing validation, in lexicographic
-    order."""
-    _check_n(n)
-    found = _walk(n, None, lambda state, t, c: None, lambda dims, state: dims)
-    return [IncidenceBase(n, dims) for dims in sorted(found)]
-
-
-@lru_cache(maxsize=None)
-def _degree_genus_rows(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """(dims, degree, genus) of every valid base in P^n, in lexicographic
-    order: the walk carries the K-theoretic class of each prefix, and a
-    base's own last factor is read off, not multiplied."""
-    rows = _walk(
-        n,
-        ([1], [0]),
-        lambda state, t, c: _k_step(*state, t, n, c),
-        lambda dims, state: (dims, *_k_degree_genus(n, *state, n - 1 - dims[0])),
-    )
+    walk((), 1, 2 * n - 3, [1], [0])
     rows.sort()
     return tuple(rows)
 
@@ -103,10 +90,10 @@ def enumerate_bases(n: int) -> list[tuple[IncidenceBase, ScrollInvariants]]:
     """
     _check_n(n)
     out = []
-    for dims, d, g in _degree_genus_rows(n):
+    for dims, d, g, min_dir in _degree_genus_rows(n):
         b = IncidenceBase(n, dims)
         require_valid(b)
-        out.append((b, _scroll_invariants(b, d, g)))
+        out.append((b, _scroll_invariants(b, d, g, min_dir)))
     return out
 
 

@@ -38,7 +38,6 @@ from .base import (
 from .classify import audit, build_tables, enumerate_bases, render_table, row_to_dict
 from .degeneration import (
     _genus,
-    _measure,
     _speciality,
     join,
     separate,
@@ -54,7 +53,7 @@ from .ruled import (
     predicted_base,
     very_ample,
 )
-from .schubert import intersection_number, oracle_intersection_number
+from .schubert import _degree_genus, intersection_number, oracle_intersection_number
 
 
 class CLIParseError(Exception):
@@ -188,7 +187,7 @@ def cmd_degree(args) -> int:
 def cmd_genus(args) -> int:
     def one(b):
         require_valid(b)
-        d, g = _measure(b.ambient, b.dims)
+        d, g, _ = _degree_genus(b.ambient, b.dims)
         check = _genus(b.ambient, b.dims)
         if check != g:
             raise InternalConsistencyError(
@@ -259,7 +258,8 @@ def cmd_separate(args) -> int:
     b = parse_base(args.base)
     out = separate(b, args.i, args.j, add_hyperplane=args.add_hyperplane)
     require_valid(out)
-    (d, _), (d_out, g_out) = _measure(b.ambient, b.dims), _measure(out.ambient, out.dims)
+    d = _degree_genus(b.ambient, b.dims)[0]
+    d_out, g_out, _ = _degree_genus(out.ambient, out.dims)
     print(f"{b} separates to {out}")
     print(f"  degree {d} -> {d_out}, genus {g_out}")
     return 0

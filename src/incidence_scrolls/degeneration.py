@@ -6,12 +6,12 @@ lines through that P^m (still in P^n) and the lines inside the hyperplane.
 Degrees add, and the genus satisfies g = g1 + g2 + kappa - 1 where kappa is
 the number of generators the two components share.
 
-The degree and the genus of a scroll come from one K-theoretic Pieri pass,
-schubert._degree_genus.  Running the split recursively computes the genus a
-second way, without any nonspeciality assumption: that recursion, _genus, is
-the independent check of the K-theoretic genus.  The audit and the genus
-command compare the two routes on every base, and join checks one level of
-the recursion on every call.
+The degree, the genus and the minimum directrix degree of a scroll come from
+one K-theoretic Pieri pass, schubert._degree_genus.  Running the split
+recursively computes the genus a second way, without any nonspeciality
+assumption: that recursion, _genus, is the independent check of the
+K-theoretic genus.  The audit and the genus command compare the two routes
+on every base, and join checks one level of the recursion on every call.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .base import (
     IncidenceBase,
     InternalConsistencyError,
     ScrollInvariants,
-    _min_directrix_degree,
     _normalize,
     require_valid,
 )
@@ -51,16 +50,14 @@ class DegenerationSplit:
     g2: int
 
 
-def _measure(n: int, dims: tuple[int, ...]) -> tuple[int, int]:
-    """(degree, genus) of a trusted base, by the K-theoretic Pieri pass."""
-    return _degree_genus(n, tuple(n - 1 - d for d in dims))
-
-
 def _split_parts(
     n: int, dims: tuple[int, ...], i: int, j: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
     """(m, dims of beta_dot in P^n, dims of beta_ddot in P^(n-1), kappa)."""
-    if i == j or not (0 <= i < len(dims) and 0 <= j < len(dims)):
+    for k in (i, j):
+        if not 0 <= k < len(dims):
+            raise ValueError(f"base space index {k} out of range")
+    if i == j:
         raise ValueError(f"need two distinct base-space indices, got ({i}, {j})")
     ni, nj = dims[i], dims[j]
     rest = tuple(d for k, d in enumerate(dims) if k not in (i, j))
@@ -96,11 +93,11 @@ def join(b: IncidenceBase, i: int, j: int) -> DegenerationSplit:
     n = b.ambient
     m, dot, ddot, kappa = _split_parts(n, b.dims, i, j)
     beta_dot, beta_ddot = IncidenceBase(n, dot), IncidenceBase(n - 1, ddot)
-    d, g = _measure(n, b.dims)
+    d, g, _ = _degree_genus(n, b.dims)
     # normalization keeps the curve condition and removes hyperplanes and
     # degenerate pairs, so both components are valid bases
-    d1, g1 = (1, 0) if m == 0 else _measure(*_normalize(n, dot))
-    d2, g2 = _measure(*_normalize(n - 1, ddot))
+    d1, g1 = (1, 0) if m == 0 else _degree_genus(*_normalize(n, dot))[:2]
+    d2, g2, _ = _degree_genus(*_normalize(n - 1, ddot))
     if d1 + d2 != d:
         raise InternalConsistencyError(
             f"{b}: join degrees {d1} + {d2} != {d} for pair ({i}, {j})"
@@ -138,7 +135,9 @@ def separate(
     else:
         if j is None:
             raise ValueError("separate needs a second index unless add_hyperplane is set")
-        if j == i or not 0 <= j < b.r:
+        if not 0 <= j < b.r:
+            raise ValueError(f"base space index {j} out of range")
+        if j == i:
             raise ValueError(f"need two distinct base-space indices, got ({i}, {j})")
         nj = b.dims[j]
         rest = tuple(d for k, d in enumerate(b.dims) if k not in (i, j))
@@ -192,11 +191,13 @@ def speciality(b: IncidenceBase) -> int:
     """The correction i in ambient = degree - 2 genus + 1 + i; zero for
     nonspecial linearly normal scrolls."""
     require_valid(b)
-    return _speciality(b, *_measure(b.ambient, b.dims))
+    d, g, _ = _degree_genus(b.ambient, b.dims)
+    return _speciality(b, d, g)
 
 
 def verified_invariants(b: IncidenceBase) -> ScrollInvariants:
-    """Scroll invariants with the degree and genus from the K-theoretic pass.
+    """Scroll invariants with the degree, the genus and the minimum
+    directrix degree from the K-theoretic pass.
 
     This is the route to ScrollInvariants for one base, and it never assumes
     the nonspecial genus formula: the speciality field records exactly how
@@ -204,14 +205,14 @@ def verified_invariants(b: IncidenceBase) -> ScrollInvariants:
     required to be nonspecial.
     """
     require_valid(b)
-    return _scroll_invariants(b, *_measure(b.ambient, b.dims))
+    return _scroll_invariants(b, *_degree_genus(b.ambient, b.dims))
 
 
-def _scroll_invariants(b: IncidenceBase, d: int, g: int) -> ScrollInvariants:
-    """The invariants of a trusted base whose scroll has degree d and genus g;
-    the enumeration reads (d, g) off its walk and comes in here."""
+def _scroll_invariants(b: IncidenceBase, d: int, g: int, min_dir: int) -> ScrollInvariants:
+    """The invariants of a trusted base whose scroll has degree d, genus g
+    and minimum directrix degree min_dir; the enumeration reads all three
+    off its walk and comes in here."""
     n, dims = b.ambient, b.dims
-    min_dir = _min_directrix_degree(n, dims)
     e = d - 2 * min_dir
     m = (d + e) // 2
     # in general position the two smallest spaces are disjoint exactly when

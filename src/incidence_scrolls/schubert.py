@@ -7,8 +7,9 @@ subspace of codimension c + 1.  The module has one kernel and one check:
 intersection_number expands products of special classes with the Pieri
 rule, and oracle_intersection_number evaluates the same top-degree product
 by an independent bialternant computation in Z[x, y] that shares no code
-with it.  _degree_genus runs the same kernel in K-theory and reads both the
-degree and the arithmetic genus of a base's curve off one pass.
+with it.  _degree_genus runs the same kernel in K-theory and reads the
+degree, the arithmetic genus and the minimum directrix degree of a base's
+scroll off one pass.
 
 The Pieri kernel, _pieri_step, keeps a class of pure codimension t as a
 flat list of integers, vec[b] being the coefficient of sigma_(t-b, b) for
@@ -76,19 +77,23 @@ def _k_step(v0: list, v1: list, t: int, n: int, c: int) -> tuple[list, list]:
     return _pieri_step(v0, t, n, c), w1
 
 
-def _k_degree_genus(n: int, v0: list, v1: list, c: int) -> tuple[int, int]:
-    """(d, g) of the curve whose K-class is (v0, v1) times O_c, for (v0, v1)
-    at t = 2n - 3 - c.
+def _k_read_off(n: int, v0: list, v1: list, c: int) -> tuple[int, int, int]:
+    """(d, g, min_dir) of the curve whose K-class is (v0, v1) times O_c, for
+    (v0, v1) at t = 2n - 3 - c and c the largest codimension of the base.
 
     The product is [O_C] = d O_line + x O_pt, and every Schubert structure
     sheaf has Euler characteristic 1 (Brion), so the arithmetic genus is
     1 - chi(O_C) = 1 - d - x.  The last factor is read off, not multiplied:
     the strips of size c onto the line class sigma_(n-1, n-2) start at b =
     n - 2 - c and n - 1 - c, the one onto the point at b = n - 1 - c, and no
-    strip of size c + 1 reaches the point growing both rows.
+    strip of size c + 1 reaches the point growing both rows.  The directrix
+    on the base space of codimension c is sigma_(c+1) in place of sigma_c,
+    whose one strip onto the point starts at b = n - 2 - c; a point base
+    space (c = n - 1) traces none.
     """
-    d = v0[n - 1 - c] + (v0[n - 2 - c] if c < n - 1 else 0)
-    return d, 1 - d - v1[n - 1 - c]
+    min_dir = v0[n - 2 - c] if c < n - 1 else 0
+    d = v0[n - 1 - c] + min_dir
+    return d, 1 - d - v1[n - 1 - c], min_dir
 
 
 def _check_codims(n: int, codims: Sequence[int]) -> None:
@@ -128,17 +133,26 @@ def _intersection_number(n: int, codims: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _degree_genus(n: int, codims: tuple[int, ...]) -> tuple[int, int]:
-    """(degree, genus) of the scroll of a trusted base with these
-    codimensions, all positive: the genus of a scroll is that of its curve
-    of lines.  The value does not depend on the order of codims; the memo
-    key does."""
+def _degree_genus(n: int, dims: tuple[int, ...]) -> tuple[int, int, int]:
+    """(degree, genus, minimum directrix degree) of the scroll of a trusted
+    base with these sorted dimensions: the genus of a scroll is that of its
+    curve of lines.
+
+    The codimensions are multiplied in ascending order, so the factor read
+    off is the largest, c.  The directrix on a base space raises its
+    codimension by one, and its degree is the Kostka number K_(n-1, n-1),mu
+    of the raised content mu.  Raising the largest codimension gives a
+    content that dominates every other raise, and K_lambda,mu can only fall
+    as mu rises in dominance order (Fulton, Young Tableaux), so the
+    directrix on the smallest base space is a minimum one.
+    """
+    codims = tuple(n - 1 - d for d in reversed(dims))
     _check_codims(n, (*codims, 1))
     v0, v1, t = [1], [0], 0
     for c in codims[:-1]:
         v0, v1 = _k_step(v0, v1, t, n, c)
         t += c
-    return _k_degree_genus(n, v0, v1, codims[-1])
+    return _k_read_off(n, v0, v1, codims[-1])
 
 
 def _convolve(p: list, q: list) -> list:

@@ -68,8 +68,9 @@ def clear_package_caches():
                 obj.cache_clear()
 
 
-# A cold enumeration for n = 3..10 evaluates 495 distinct sorted codimension
-# tuples; the kernel memo holds one entry per tuple and nothing else.
+# A cold enumeration for n = 3..10 has 495 distinct sorted codimension
+# tuples, a bound on the kernel memo; the walk reads everything off its K
+# pass, so the memo in fact stays empty, as the no-recursion test checks.
 KERNEL_ENTRIES_UP_TO_10 = 495
 
 
@@ -96,9 +97,15 @@ def test_cold_enumeration_runs_no_recursion_and_no_per_base_k_pass():
     clear_package_caches()
     bases = [b for n in range(3, 11) for b, _ in classify.enumerate_bases(n)]
     assert len(bases) == 281
-    for memo in (degeneration._genus, schubert._degree_genus, base._degree):
+    # nor a kernel call: degree, genus and minimum directrix are all read
+    # off the walk
+    for memo in (degeneration._genus, schubert._degree_genus, schubert._intersection_number):
         assert memo.cache_info()[:2] == (0, 0), memo
-    # one base from outside takes one K pass and no separate degree product
-    verified_invariants(parse("9:4,4,5,6,7,7"))
+
+
+@pytest.mark.parametrize("name", ["verified_invariants", "degree", "min_directrix_degree"])
+def test_point_query_takes_one_k_pass_and_no_kernel_call(name):
+    clear_package_caches()
+    ENTRY_POINTS[name](parse("9:4,4,5,6,7,7"))
     assert schubert._degree_genus.cache_info()[:2] == (0, 1)
-    assert base._degree.cache_info()[:2] == (0, 0)
+    assert schubert._intersection_number.cache_info()[:2] == (0, 0)

@@ -171,7 +171,9 @@ def test_lower_bound_messages():
 def test_enumeration_limit_fails_before_any_work(entry, monkeypatch):
     # n = MAX_ENUMERATION_N itself is accepted; the gate runs before any base
     calls = []
-    monkeypatch.setattr(classify, "_scroll_invariants", lambda b, d, g: calls.append(b))
+    monkeypatch.setattr(
+        classify, "_scroll_invariants", lambda b, d, g, min_dir: calls.append(b)
+    )
     monkeypatch.setattr(classify, "IncidenceBase", lambda n, dims: calls.append((n, dims)))
     limit = classify.MAX_ENUMERATION_N
     message = f"limited to ambient dimension {limit}, got {limit + 1}$"
@@ -187,8 +189,8 @@ def test_audit_recounts_min_directrix_degree_by_oracle(monkeypatch):
     real = classify._scroll_invariants
     bad = IncidenceBase(4, (1, 2, 2, 2))
 
-    def skewed(b, d, g):
-        inv = real(b, d, g)
+    def skewed(b, d, g, min_dir):
+        inv = real(b, d, g, min_dir)
         if b == bad:
             return dataclasses.replace(inv, min_directrix_degree=inv.min_directrix_degree + 1)
         return inv
@@ -208,8 +210,8 @@ def test_audit_recounts_genus_by_degeneration(monkeypatch):
     real = classify._scroll_invariants
     bad = IncidenceBase(5, (3, 3, 3, 3, 3, 3, 3))
 
-    def skewed(b, d, g):
-        inv = real(b, d, g)
+    def skewed(b, d, g, min_dir):
+        inv = real(b, d, g, min_dir)
         return dataclasses.replace(inv, genus=inv.genus + 1) if b == bad else inv
 
     monkeypatch.setattr(classify, "_scroll_invariants", skewed)

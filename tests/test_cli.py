@@ -185,6 +185,27 @@ def test_separate_command(capsys):
     assert main(["separate", "4:1,2,2,2", "-i", "0", "-j", "1"]) == 1  # 1 + 2 != 4
 
 
+SAME_INDEX = "need two distinct base-space indices, got (1, 1)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["join", "2:0", "-i", "0", "-j", "1"], "base space index 1 out of range"),
+        (["join", "4:2,2,2,2,2", "-i", "-1", "-j", "1"], "base space index -1 out of range"),
+        (["separate", "4:2,2,2,2,2", "-i", "0", "-j", "9"], "base space index 9 out of range"),
+        (["join", "4:2,2,2,2,2", "-i", "1", "-j", "1"], SAME_INDEX),
+        (["separate", "4:2,2,2,2,2", "-i", "1", "-j", "1"], SAME_INDEX),
+    ],
+    ids=["join-past-end", "join-negative", "separate-past-end", "join-same", "separate-same"],
+)
+def test_join_and_separate_name_the_bad_index(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_schubert_command(capsys):
     assert main(["schubert", "-n", "4", "-c", "1,1,1,1,1,1"]) == 0
     assert capsys.readouterr().out.strip() == "5"
@@ -215,9 +236,9 @@ def test_enumerate_measures_each_base_once(monkeypatch, capsys):
     calls = []
     real = classify._scroll_invariants
 
-    def counting(b, d, g):
+    def counting(b, d, g, min_dir):
         calls.append(b)
-        return real(b, d, g)
+        return real(b, d, g, min_dir)
 
     monkeypatch.setattr(classify, "_scroll_invariants", counting)
     monkeypatch.setattr(cli, "verified_invariants", lambda b: calls.append(("again", b)))
@@ -416,9 +437,11 @@ def test_genus_command_exits_3_when_the_routes_disagree(monkeypatch, capsys):
 
 
 def test_join_exits_3_when_the_genus_bookkeeping_fails(monkeypatch, capsys):
-    real = degeneration._measure
+    real = degeneration._degree_genus
     monkeypatch.setattr(
-        degeneration, "_measure", lambda n, dims: (5, 2) if len(dims) == 5 else real(n, dims)
+        degeneration,
+        "_degree_genus",
+        lambda n, dims: (5, 2, 3) if len(dims) == 5 else real(n, dims),
     )
     assert main(["join", "4:2,2,2,2,2", "-i", "0", "-j", "1"]) == 3
     assert capsys.readouterr().err == (

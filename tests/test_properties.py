@@ -2,7 +2,7 @@
 
 from hypothesis import example, given, settings, strategies as st
 
-from incidence_scrolls.base import IncidenceBase, _degree, normalize, validate
+from incidence_scrolls.base import IncidenceBase, directrix_degree, normalize, validate
 from incidence_scrolls.degeneration import _genus
 from incidence_scrolls.schubert import (
     _degree_genus,
@@ -220,11 +220,11 @@ def test_k_step_matches_term_by_term(data):
 
 
 @st.composite
-def valid_base_codims(draw):
-    """(n, codims) of a random valid base in P^n, n <= 25, codims in
+def valid_base_codims(draw, max_n=25):
+    """(n, codims) of a random valid base in P^n, n <= max_n, codims in
     descending order: they sum to 2n - 3, none exceeds n - 2 and the two
     largest sum to at most n - 1."""
-    n = draw(st.integers(min_value=3, max_value=25))
+    n = draw(st.integers(min_value=3, max_value=max_n))
     codims = [draw(st.integers(min_value=1, max_value=n - 2))]
     cap, left = min(codims[0], n - 1 - codims[0]), 2 * n - 3 - codims[0]
     while left:
@@ -239,7 +239,31 @@ def valid_base_codims(draw):
 @example((25, (23,) + (1,) * 24))  # the chain 25:1,23,...,23
 @settings(max_examples=100, deadline=None)
 def test_k_theoretic_degree_genus_equals_the_recursion(data):
+    # the references are the Pieri degree, the degeneration recursion and
+    # the Pieri directrix on every base space
     n, codims = data
-    dims = tuple(sorted(n - 1 - c for c in codims))
-    assert validate(IncidenceBase(n, dims)).all_ok
-    assert _degree_genus(n, codims) == (_degree(n, dims), _genus(n, dims))
+    b = IncidenceBase(n, tuple(sorted(n - 1 - c for c in codims)))
+    assert validate(b).all_ok
+    assert _degree_genus(n, b.dims) == (
+        intersection_number(n, codims + (1,)),
+        _genus(n, b.dims),
+        min(directrix_degree(b, k) for k in range(b.r)),
+    )
+
+
+@given(valid_base_codims(max_n=30))
+@example((5, (2, 1, 1, 1, 1, 1)))  # 5:2,3,3,3,3,3, a special scroll
+@example((9, (4, 4, 3, 2, 1, 1)))  # 9:4,4,5,6,7,7, four distinct directrices
+@settings(max_examples=100, deadline=None)
+def test_minimum_directrix_lies_on_the_smallest_space(data):
+    # codims are descending, so k = 0 is the largest codimension; a valid
+    # base with n >= 3 has no point base space, so every raise stays in the box
+    n, codims = data
+    b = IncidenceBase(n, tuple(n - 1 - c for c in codims))
+    pieri = [directrix_degree(b, k) for k in range(b.r)]
+    oracle = [
+        oracle_intersection_number(n, codims[:k] + (c + 1,) + codims[k + 1 :])
+        for k, c in enumerate(codims)
+    ]
+    assert pieri == oracle
+    assert _degree_genus(n, b.dims)[2] == min(pieri) == pieri[0]

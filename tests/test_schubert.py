@@ -93,15 +93,15 @@ def test_zero_codimension_factors_are_identity():
 
 
 def test_k_pass_answers_the_chain_far_past_the_recursion():
-    # n:1,(n-2)x(n-1) sweeps a rational normal scroll of degree n - 1; the
-    # degeneration recursion on it stops near n = 495
+    # n:1,(n-2)x(n-1) sweeps a rational normal scroll of degree n - 1 with a
+    # directrix line; the degeneration recursion on it stops near n = 495
     n = 1200
-    assert _degree_genus(n, (n - 2,) + (1,) * (n - 1)) == (n - 1, 0)
+    assert _degree_genus(n, (1,) + (n - 2,) * (n - 1)) == (n - 1, 0, 1)
 
 
 def test_k_pass_reads_elliptic_and_special_genera():
-    assert _degree_genus(4, (1, 1, 1, 1, 1)) == (5, 1)
-    assert _degree_genus(5, (2, 1, 1, 1, 1, 1)) == (9, 3)  # special, i = 1
-    assert _degree_genus(2, (1,)) == (1, 0)  # the lines of P^2 through a point
+    assert _degree_genus(4, (2, 2, 2, 2, 2)) == (5, 1, 3)
+    assert _degree_genus(5, (2, 3, 3, 3, 3, 3)) == (9, 3, 4)  # special, i = 1
+    assert _degree_genus(2, (0,)) == (1, 0, 0)  # the lines of P^2 through a point
     with pytest.raises(DimensionMismatchError):
-        _degree_genus(4, (1, 1, 1, 1))
+        _degree_genus(4, (2, 2, 2, 2))
