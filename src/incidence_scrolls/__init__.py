@@ -42,7 +42,6 @@ from .ruled import (
     RuledSurfaceModel,
     base_structure_constraints,
     embedding_invariants,
-    h0_elliptic_decomposable,
     h0_rational,
     is_incidence,
     min_directrix_count,

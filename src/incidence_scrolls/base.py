@@ -249,19 +249,6 @@ def formula_genus(b: IncidenceBase, deg: int | None = None) -> int:
     return t // 2
 
 
-def _bundle_dict(bundle: RuledSurfaceModel | None) -> dict | None:
-    """The JSON object of a bundle, shared by table rows and CLI records."""
-    # e_trivial is the field: is_e_trivial also holds for every rational e = 0
-    if bundle is None:
-        return None
-    return {
-        "kind": bundle.kind,
-        "base_genus": bundle.base_genus,
-        "e": bundle.e,
-        "e_trivial": bundle.e_divisor_trivial,
-    }
-
-
 @dataclass(frozen=True)
 class ScrollInvariants:
     """Numerical data of the scroll swept by a base.
@@ -281,3 +268,28 @@ class ScrollInvariants:
     decomposable: bool
     speciality: int
     bundle: RuledSurfaceModel | None
+
+
+def _invariants_dict(b: IncidenceBase, inv: ScrollInvariants) -> dict:
+    """The JSON record of a base and its invariants: the CLI prints it, and
+    the table rows take their shared keys from it."""
+    bundle = inv.bundle
+    return {
+        "base": str(b),
+        "ambient": inv.ambient,
+        "dims": list(b.dims),
+        "degree": inv.degree,
+        "genus": inv.genus,
+        "e": inv.e,
+        "m": inv.divisor_degree,
+        "min_directrix_degree": inv.min_directrix_degree,
+        "decomposable": inv.decomposable,
+        "speciality": inv.speciality,
+        # e_trivial is the field: is_e_trivial also holds for every rational e = 0
+        "bundle": None if bundle is None else {
+            "kind": bundle.kind,
+            "base_genus": bundle.base_genus,
+            "e": bundle.e,
+            "e_trivial": bundle.e_divisor_trivial,
+        },
+    }

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .base import IncidenceBase, ScrollInvariants, _bundle_dict, require_valid
+from .base import IncidenceBase, ScrollInvariants, _invariants_dict
 from .degeneration import _genus, _scroll_invariants
 from .ruled import (
     incidence_clause,
@@ -85,14 +85,16 @@ def enumerate_bases(n: int) -> list[tuple[IncidenceBase, ScrollInvariants]]:
 
     The genus comes from the K-theoretic Pieri pass, which assumes no
     nonspeciality, so bases whose scrolls are special are reported with
-    their true genus and a nonzero speciality instead of failing.  Each base
-    passes the same validation as a base from outside.
+    their true genus and a nonzero speciality instead of failing.  The walk
+    builds only valid bases, so none is validated again: every codimension
+    is at least 1 (no hyperplane), they sum to 2n - 3 (the curve
+    condition), and the two largest sum to at most n - 1, so the tightest
+    pair, and with it every pair, is nondegenerate.
     """
     _check_n(n)
     out = []
     for dims, d, g, min_dir in _degree_genus_rows(n):
         b = IncidenceBase(n, dims)
-        require_valid(b)
         out.append((b, _scroll_invariants(b, d, g, min_dir)))
     return out
 
@@ -177,20 +179,15 @@ def render_table(rows: list[TableRow], genus: int, max_n: int) -> str:
 
 
 def row_to_dict(row: TableRow) -> dict:
-    inv = row.invariants
+    rec = _invariants_dict(row.base, row.invariants)
     return {
-        "ambient": inv.ambient,
-        "dims": list(row.base.dims),
-        "degree": inv.degree,
-        "genus": inv.genus,
-        "e": inv.e,
-        "m": inv.divisor_degree,
+        **{k: rec[k] for k in ("ambient", "dims", "degree", "genus", "e", "m")},
         "min_directrix": {
-            "degree": inv.min_directrix_degree,
+            "degree": rec["min_directrix_degree"],
             "ambient": row.min_directrix_span,
             "count": "inf^1" if row.min_directrix_count is None else row.min_directrix_count,
         },
-        "bundle": _bundle_dict(inv.bundle),
+        "bundle": rec["bundle"],
     }
 
 

@@ -25,10 +25,9 @@ from . import __version__
 from .base import (
     IncidenceBase,
     InternalConsistencyError,
-    ScrollInvariants,
     SpecialityError,
     UnrealizableBaseError,
-    _bundle_dict,
+    _invariants_dict,
     degree,
     formula_genus,
     normalize,
@@ -144,22 +143,6 @@ def _each_base(arg: str, run) -> int:
     return worst
 
 
-def _invariants_dict(b: IncidenceBase, inv: ScrollInvariants) -> dict:
-    return {
-        "base": str(b),
-        "ambient": inv.ambient,
-        "dims": list(b.dims),
-        "degree": inv.degree,
-        "genus": inv.genus,
-        "e": inv.e,
-        "m": inv.divisor_degree,
-        "min_directrix_degree": inv.min_directrix_degree,
-        "decomposable": inv.decomposable,
-        "speciality": inv.speciality,
-        "bundle": _bundle_dict(inv.bundle),
-    }
-
-
 def cmd_validate(args) -> int:
     def one(b):
         report = validate(b)
@@ -257,7 +240,6 @@ def cmd_join(args) -> int:
 def cmd_separate(args) -> int:
     b = parse_base(args.base)
     out = separate(b, args.i, args.j, add_hyperplane=args.add_hyperplane)
-    require_valid(out)
     d = _degree_genus(b.ambient, b.dims)[0]
     d_out, g_out, _ = _degree_genus(out.ambient, out.dims)
     print(f"{b} separates to {out}")

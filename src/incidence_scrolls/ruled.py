@@ -27,30 +27,6 @@ def h0_rational(a: int, m: int, e: int) -> int:
     return sum(max(0, m - j * e + 1) for j in range(a + 1))
 
 
-def _h0_elliptic_line(delta: int, trivial: bool) -> int:
-    # Riemann-Roch on an elliptic curve; degree 0 has sections only when trivial
-    if delta >= 1:
-        return delta
-    if delta == 0 and trivial:
-        return 1
-    return 0
-
-
-def h0_elliptic_decomposable(m: int, e: int, e_trivial: bool = False) -> int:
-    """Sections of C_0 + bf, deg b = m, on a decomposable elliptic ruled surface.
-
-    The count is h^0(b) + h^0(b + e-divisor), degrees m and m - e.  The
-    fiber part of degree 0 is the zero divisor (trivial); the combination of
-    degree 0, which occurs exactly when m = e, is trivial precisely when the
-    caller says so, and a general divisor otherwise.
-    """
-    if e < 0:
-        raise ValueError("decomposable elliptic bundles have e >= 0")
-    first = _h0_elliptic_line(m, trivial=(m == 0))
-    second = _h0_elliptic_line(m - e, trivial=(e_trivial if m == e else False))
-    return first + second
-
-
 @dataclass(frozen=True)
 class RuledSurfaceModel:
     """A scroll divisor C_0 + bf on a ruled surface of genus 0 or 1."""

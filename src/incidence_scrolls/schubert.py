@@ -145,9 +145,11 @@ def _degree_genus(n: int, dims: tuple[int, ...]) -> tuple[int, int, int]:
     content that dominates every other raise, and K_lambda,mu can only fall
     as mu rises in dominance order (Fulton, Young Tableaux), so the
     directrix on the smallest base space is a minimum one.
+
+    The base is not checked again: every caller validates it, or normalizes
+    a valid one, first.
     """
     codims = tuple(n - 1 - d for d in reversed(dims))
-    _check_codims(n, (*codims, 1))
     v0, v1, t = [1], [0], 0
     for c in codims[:-1]:
         v0, v1 = _k_step(v0, v1, t, n, c)

@@ -72,6 +72,10 @@ def test_candidates_all_valid_and_sorted():
             and validate(IncidenceBase(n, dims)).all_ok
         )
         assert [b.dims for b in base_candidates(n)] == brute
+    # beyond the brute force the walk's bases are still all valid, which is
+    # why enumerate_bases does not validate them again
+    for n in range(10, classify.MAX_ENUMERATION_N + 1):
+        assert all(validate(b).all_ok for b in base_candidates(n))
 
 
 # number of candidate bases for n = 3, 4, ..., MAX_ENUMERATION_N

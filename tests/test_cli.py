@@ -254,6 +254,12 @@ def test_table_golden_via_cli(tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / "table_elliptic.txt").read_text()
 
 
+@pytest.mark.parametrize("genus,name", [(0, "rational"), (1, "elliptic")])
+def test_table_json_golden(genus, name, capsys):
+    assert main(["table", "--genus", str(genus), "--max-n", "8", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"table_{name}.json").read_text()
+
+
 def test_table_json(capsys):
     assert main(["table", "--genus", "1", "--max-n", "4", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -481,8 +487,9 @@ def test_genus_and_separate_validate_each_base_once(tmp_path, monkeypatch, capsy
     assert seen == ["4:2,2,2,2,2", "3:1,1,1"]
     seen.clear()
     capsys.readouterr()
+    # separate validates its input only: a valid base separates to a valid one
     assert main(["separate", "3:1,1,1", "-i", "0", "--add-hyperplane"]) == 0
-    assert seen == ["3:1,1,1", "4:1,2,2,2"]
+    assert seen == ["3:1,1,1"]
     assert capsys.readouterr().out == (
         "3:1,1,1 separates to 4:1,2,2,2\n  degree 2 -> 3, genus 0\n"
     )

@@ -4,9 +4,10 @@ import itertools
 
 import pytest
 
-from incidence_scrolls.base import IncidenceBase, degree, formula_genus, normalize
+from incidence_scrolls.base import IncidenceBase, degree, formula_genus, normalize, validate
 from incidence_scrolls.classify import base_candidates
 from incidence_scrolls.degeneration import (
+    _split_parts,
     genus_by_degeneration,
     join,
     separate,
@@ -98,6 +99,30 @@ def test_separate_requires_point_meeting_pair():
         separate(B(4, 1, 2, 2, 2), 0, 1)  # 1 + 2 != 4
     with pytest.raises(ValueError):
         separate(B(4, 1, 2, 2, 2), 0)  # no second index
+
+
+def test_join_and_separate_keep_every_enumerated_base_valid():
+    # _split_parts and separate do not check what they build: over every
+    # base with n <= 10, each join pair meets (m >= 0) in two components
+    # that keep the curve condition, and each separation of a point-meeting
+    # pair, or of a line and the virtual hyperplane, gives a valid base
+    pairs = separations = 0
+    for n in range(3, 11):
+        for b in base_candidates(n):
+            for i, j in itertools.combinations(range(b.r), 2):
+                m, dot, ddot, _ = _split_parts(n, b.dims, i, j)
+                assert m >= 0
+                for ambient, comp in ((n, dot), (n - 1, ddot)):
+                    assert sum(ambient - 1 - d for d in comp) == 2 * ambient - 3
+                pairs += 1
+                if b.dims[i] + b.dims[j] == n:
+                    assert validate(separate(b, i, j)).all_ok
+                    separations += 1
+            for i in range(b.r):
+                if b.dims[i] == 1:
+                    assert validate(separate(b, i, add_hyperplane=True)).all_ok
+                    separations += 1
+    assert (pairs, separations) == (8996, 368)
 
 
 @pytest.mark.parametrize(

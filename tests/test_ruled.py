@@ -2,14 +2,13 @@
 
 import pytest
 
-from incidence_scrolls.base import _bundle_dict, validate
+from incidence_scrolls.base import _invariants_dict, validate
 from incidence_scrolls.classify import base_candidates
 from incidence_scrolls.degeneration import verified_invariants
 from incidence_scrolls.ruled import (
     RuledSurfaceModel,
     base_structure_constraints,
     embedding_invariants,
-    h0_elliptic_decomposable,
     h0_rational,
     is_incidence,
     min_directrix_count,
@@ -35,16 +34,6 @@ def test_h0_rational(a, m, e, expected):
 def test_h0_rational_e_zero_linear_growth():
     for m in range(0, 8):
         assert h0_rational(1, m, 0) == 2 * (m + 1)
-
-
-def test_h0_elliptic():
-    # class of degree e plus a trivial degree-0 part: e + 1 sections
-    for e in range(1, 5):
-        assert h0_elliptic_decomposable(e, e, e_trivial=True) == e + 1
-    assert h0_elliptic_decomposable(4, 0, e_trivial=True) == 8
-    assert h0_elliptic_decomposable(0, 0, e_trivial=False) == 1
-    assert h0_elliptic_decomposable(0, 0, e_trivial=True) == 2
-    assert h0_elliptic_decomposable(3, 0, e_trivial=False) == 6
 
 
 def test_model_validation():
@@ -103,7 +92,7 @@ def test_invariants_carry_their_model():
                 inv.decomposable,
             )
             if inv.genus == 0:
-                assert _bundle_dict(model)["e_trivial"] is False
+                assert _invariants_dict(b, inv)["bundle"]["e_trivial"] is False
     assert rows > 0
 
 

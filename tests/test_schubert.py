@@ -103,5 +103,3 @@ def test_k_pass_reads_elliptic_and_special_genera():
     assert _degree_genus(4, (2, 2, 2, 2, 2)) == (5, 1, 3)
     assert _degree_genus(5, (2, 3, 3, 3, 3, 3)) == (9, 3, 4)  # special, i = 1
     assert _degree_genus(2, (0,)) == (1, 0, 0)  # the lines of P^2 through a point
-    with pytest.raises(DimensionMismatchError):
-        _degree_genus(4, (2, 2, 2, 2))
